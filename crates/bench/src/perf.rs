@@ -6,7 +6,7 @@
 //! so perf regressions show up in diffs.
 
 use des::rng::Rng;
-use hpcc_kernels::{cg, fft, gemm, lu, mat::Mat, matmul, shallow};
+use hpcc_kernels::{cg, fft, gemm, lu, mat::Mat, matmul, shallow, simd};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -436,6 +436,7 @@ pub fn gates(rows: &[PerfRow]) -> String {
 pub fn table(rows: &[PerfRow]) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "Host kernel performance snapshot (best-of-reps)");
+    let _ = writeln!(s, "gemm microkernel: {}", simd::gemm_tier());
     let _ = writeln!(s, "{:-<64}", "");
     let _ = writeln!(
         s,
@@ -465,7 +466,10 @@ pub fn table(rows: &[PerfRow]) -> String {
 
 /// The JSON snapshot (hand-rolled — the harness carries no serde).
 pub fn json(rows: &[PerfRow]) -> String {
-    let mut s = String::from("{\n  \"bench\": \"kernels\",\n  \"rows\": [\n");
+    let mut s = format!(
+        "{{\n  \"bench\": \"kernels\",\n  \"gemm_tier\": \"{}\",\n  \"rows\": [\n",
+        simd::gemm_tier()
+    );
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             s,
@@ -521,7 +525,9 @@ mod tests {
         assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
         assert_eq!(j.matches("\"kernel\"").count(), 2);
         assert_eq!(j.matches('{').count(), j.matches('}').count());
+        assert!(j.contains(&format!("\"gemm_tier\": \"{}\"", simd::gemm_tier())));
         let t = table(&rows);
         assert!(t.contains("gemm_par") && t.contains("GFLOP/s"));
+        assert!(t.contains(simd::gemm_tier()));
     }
 }

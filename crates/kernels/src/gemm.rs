@@ -13,14 +13,30 @@
 //!     for ic in steps of MC over rows of C         (parallelised with Rayon)
 //!       A is pre-packed into Ap   — column-major MR-row panels
 //!       for jr in steps of NR, ir in steps of MR:
-//!         microkernel: MR×NR register tile += Ap panel · Bp panel
+//!         microkernel: MR×NR register tile ±= Ap panel · Bp panel
 //! ```
 //!
 //! Packing turns both operand streams into unit-stride loads, and the
 //! MR×NR register tile turns ~2 memory operations per FLOP (the naive
-//! and cache-blocked kernels) into ~(MR+NR)/(2·MR·NR). The microkernel
-//! is written so LLVM auto-vectorises it; on x86-64 an AVX2+FMA clone is
-//! selected at runtime via `is_x86_feature_detected!`.
+//! and cache-blocked kernels) into ~(MR+NR)/(2·MR·NR).
+//!
+//! ## Microkernel
+//!
+//! The tile is MR×NR = 12×16, chosen by measurement over 8×16, 8×24 and
+//! 12×16. Three tiers share the packed layout, and the fastest one the
+//! host supports ([`crate::simd::gemm_tier`]) is picked once per call:
+//!
+//! * **AVX-512F** — 24 zmm accumulators (12 rows × two 8-wide halves);
+//!   per k step two B loads, twelve A broadcasts and 24 FMAs.
+//! * **AVX2+FMA** — the same tile swept as four 6×8 sub-tiles of 12 ymm
+//!   accumulators each (a 12×16 tile does not fit 16 ymm registers).
+//! * **Portable** — the reference body and the only path off x86-64.
+//!
+//! Both SIMD tiers use explicit `fmadd` intrinsics (Rust never contracts
+//! `x += a * b`) and give each element the chain `acc = 0`,
+//! `acc = fma(a, b, acc)` in k order, then one `c ± acc`, so they are
+//! bit-identical to each other. The portable body rounds product and sum
+//! separately and agrees with them within roundoff.
 //!
 //! ## Determinism
 //!
@@ -34,16 +50,17 @@
 //! equivalence on awkward shapes.
 
 use crate::mat::Mat;
+use crate::simd::Tier;
 use hpcc_trace::{names, Recorder, WallTrack};
 use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Microkernel tile height (rows of C per register tile).
-pub const MR: usize = 4;
+pub const MR: usize = 12;
 /// Microkernel tile width (columns of C per register tile).
-pub const NR: usize = 8;
+pub const NR: usize = 16;
 /// Rows of A packed per macro-tile (L2-resident block, multiple of MR).
-pub const MC: usize = 128;
+pub const MC: usize = 144;
 /// Depth of one packed strip (L1-resident panels).
 pub const KC: usize = 256;
 /// Columns of B packed per macro-tile (multiple of NR).
@@ -122,11 +139,10 @@ fn pack_b(b: View<'_>, pc: usize, kcs: usize, jc: usize, nc: usize, buf: &mut Ve
     }
 }
 
-/// The register-tile inner loop: accumulate `kcs` rank-1 updates of the
-/// MR×NR tile from packed panels, then apply to C with sign `sub`.
+/// The portable register-tile loop: accumulate `kcs` rank-1 updates of
+/// the MR×NR tile from packed panels, then apply to C with sign `sub`.
 /// `c_tile` addresses C(row0, col0) with leading dimension `ldc`; only
 /// the `mr_eff × nr_eff` valid corner is written back.
-#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn microkernel_body(
     kcs: usize,
@@ -162,27 +178,188 @@ fn microkernel_body(
     }
 }
 
+/// Apply the valid `mr_eff × nr_eff` corner of a spilled tile to C —
+/// the edge-tile write-back shared by the SIMD tiers (one `c ± acc` per
+/// element, exactly what the full-tile vector path does).
+///
+/// # Safety
+///
+/// `c` must be valid for writes at `i·ldc + j` for every `i < mr_eff`,
+/// `j < nr_eff`, with `mr_eff ≤ tile.len()` and `nr_eff ≤ W`.
+#[cfg(target_arch = "x86_64")]
+unsafe fn apply_corner<const W: usize>(
+    tile: &[[f64; W]],
+    c: *mut f64,
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+    sub: bool,
+) {
+    for (i, row) in tile.iter().enumerate().take(mr_eff) {
+        for (j, &x) in row.iter().enumerate().take(nr_eff) {
+            let cp = c.add(i * ldc + j);
+            *cp = if sub { *cp - x } else { *cp + x };
+        }
+    }
+}
+
+/// AVX-512F tier: the whole 12×16 tile in 24 zmm accumulators.
+///
+/// # Safety
+///
+/// The host must support AVX-512F; `ap` must hold `kcs·MR` and `bp`
+/// `kcs·NR` readable values, and `c` must be valid for writes over the
+/// `mr_eff × nr_eff` corner at leading dimension `ldc`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn microkernel_avx512(
+    kcs: usize,
+    ap: *const f64,
+    bp: *const f64,
+    c: *mut f64,
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+    sub: bool,
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [[_mm512_setzero_pd(); 2]; MR];
+    for p in 0..kcs {
+        let a = ap.add(p * MR);
+        let b = bp.add(p * NR);
+        let b0 = _mm512_loadu_pd(b);
+        let b1 = _mm512_loadu_pd(b.add(8));
+        for (i, row) in acc.iter_mut().enumerate() {
+            let ai = _mm512_set1_pd(*a.add(i));
+            row[0] = _mm512_fmadd_pd(ai, b0, row[0]);
+            row[1] = _mm512_fmadd_pd(ai, b1, row[1]);
+        }
+    }
+    if mr_eff == MR && nr_eff == NR {
+        for (i, row) in acc.iter().enumerate() {
+            for (h, &x) in row.iter().enumerate() {
+                let cp = c.add(i * ldc + 8 * h);
+                let cv = _mm512_loadu_pd(cp);
+                let r = if sub {
+                    _mm512_sub_pd(cv, x)
+                } else {
+                    _mm512_add_pd(cv, x)
+                };
+                _mm512_storeu_pd(cp, r);
+            }
+        }
+    } else {
+        let mut tile = [[0.0f64; NR]; MR];
+        for (t, row) in tile.iter_mut().zip(&acc) {
+            _mm512_storeu_pd(t.as_mut_ptr(), row[0]);
+            _mm512_storeu_pd(t.as_mut_ptr().add(8), row[1]);
+        }
+        apply_corner(&tile, c, ldc, mr_eff, nr_eff, sub);
+    }
+}
+
+/// AVX2+FMA tier: the 12×16 tile as four 6×8 sub-tiles, each swept over
+/// the full depth in 12 ymm accumulators. Sub-tiles wholly outside the
+/// valid corner are skipped.
+///
+/// # Safety
+///
+/// As [`microkernel_avx512`], with AVX2 and FMA in place of AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn microkernel_avx2(
     kcs: usize,
-    ap: &[f64],
-    bp: &[f64],
-    c_tile: &mut [f64],
+    ap: *const f64,
+    bp: *const f64,
+    c: *mut f64,
     ldc: usize,
     mr_eff: usize,
     nr_eff: usize,
     sub: bool,
 ) {
-    // Same source as the portable body; compiled with AVX2+FMA enabled so
-    // LLVM emits 256-bit FMAs for the tile update.
-    microkernel_body(kcs, ap, bp, c_tile, ldc, mr_eff, nr_eff, sub);
+    for r0 in (0..mr_eff).step_by(6) {
+        for c0 in (0..nr_eff).step_by(8) {
+            subtile_avx2(
+                kcs,
+                ap.add(r0),
+                bp.add(c0),
+                c.add(r0 * ldc + c0),
+                ldc,
+                (mr_eff - r0).min(6),
+                (nr_eff - c0).min(8),
+                sub,
+            );
+        }
+    }
 }
 
+/// One 6×8 sub-tile of [`microkernel_avx2`]: `ap`/`bp` point at the
+/// sub-tile's first row/column inside the MR-/NR-strided packed panels.
+///
+/// # Safety
+///
+/// As [`microkernel_avx2`], for the `mr_eff × nr_eff` (≤ 6×8) corner.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn subtile_avx2(
+    kcs: usize,
+    ap: *const f64,
+    bp: *const f64,
+    c: *mut f64,
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+    sub: bool,
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [[_mm256_setzero_pd(); 2]; 6];
+    for p in 0..kcs {
+        let a = ap.add(p * MR);
+        let b = bp.add(p * NR);
+        let b0 = _mm256_loadu_pd(b);
+        let b1 = _mm256_loadu_pd(b.add(4));
+        for (i, row) in acc.iter_mut().enumerate() {
+            let ai = _mm256_broadcast_sd(&*a.add(i));
+            row[0] = _mm256_fmadd_pd(ai, b0, row[0]);
+            row[1] = _mm256_fmadd_pd(ai, b1, row[1]);
+        }
+    }
+    if mr_eff == 6 && nr_eff == 8 {
+        for (i, row) in acc.iter().enumerate() {
+            for (h, &x) in row.iter().enumerate() {
+                let cp = c.add(i * ldc + 4 * h);
+                let cv = _mm256_loadu_pd(cp);
+                let r = if sub {
+                    _mm256_sub_pd(cv, x)
+                } else {
+                    _mm256_add_pd(cv, x)
+                };
+                _mm256_storeu_pd(cp, r);
+            }
+        }
+    } else {
+        let mut tile = [[0.0f64; 8]; 6];
+        for (t, row) in tile.iter_mut().zip(&acc) {
+            _mm256_storeu_pd(t.as_mut_ptr(), row[0]);
+            _mm256_storeu_pd(t.as_mut_ptr().add(4), row[1]);
+        }
+        apply_corner(&tile, c, ldc, mr_eff, nr_eff, sub);
+    }
+}
+
+/// One MR×NR tile through the chosen tier: `C ±= Ap·Bp` over `kcs` k
+/// steps, writing only the `mr_eff × nr_eff` corner of `c_tile`.
+///
+/// # Safety
+///
+/// The host must support `tier` (see [`Tier::detect`]).
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn microkernel(
+unsafe fn microkernel(
+    tier: Tier,
     kcs: usize,
     ap: &[f64],
     bp: &[f64],
@@ -192,17 +369,22 @@ fn microkernel(
     nr_eff: usize,
     sub: bool,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: feature presence checked at runtime.
-            unsafe {
-                return microkernel_avx2(kcs, ap, bp, c_tile, ldc, mr_eff, nr_eff, sub);
-            }
-        }
+    // The SIMD tiers index through raw pointers; these bounds are what
+    // keeps them inside the slices.
+    assert!(ap.len() >= kcs * MR && bp.len() >= kcs * NR);
+    assert!((1..=MR).contains(&mr_eff) && (1..=NR).contains(&nr_eff));
+    assert!(c_tile.len() >= (mr_eff - 1) * ldc + nr_eff);
+    let (a, b, c) = (ap.as_ptr(), bp.as_ptr(), c_tile.as_mut_ptr());
+    match tier {
+        // SAFETY: the caller guarantees the tier's features; the
+        // asserts above bound every pointer the kernel forms.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512f => microkernel_avx512(kcs, a, b, c, ldc, mr_eff, nr_eff, sub),
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2Fma => microkernel_avx2(kcs, a, b, c, ldc, mr_eff, nr_eff, sub),
+        _ => microkernel_body(kcs, ap, bp, c_tile, ldc, mr_eff, nr_eff, sub),
     }
-    microkernel_body(kcs, ap, bp, c_tile, ldc, mr_eff, nr_eff, sub);
 }
 
 /// Drive the macro-tile loops over one pre-packed A. `c` holds `m` rows
@@ -235,8 +417,13 @@ fn gemm_packed(
         return;
     }
     let m_pad = m.div_ceil(MR) * MR;
-    debug_assert_eq!(apacked.len(), m_pad * kdim);
-    debug_assert!(c.len() >= (m - 1) * ldc + c_col + n);
+    assert_eq!(apacked.len(), m_pad * kdim);
+    assert!(ldc >= c_col + n && c.len() >= (m - 1) * ldc + c_col + n);
+    // A backing slice may run past the m rows (the blocked TRSM passes
+    // the whole trailing matrix); sweep only the rows A was packed for.
+    let swept = c.len().min(m * ldc);
+    let c = &mut c[..swept];
+    let tier = Tier::detect();
 
     PACK_B.with(|pb| {
         let mut bp_buf = pb.borrow_mut();
@@ -268,22 +455,26 @@ fn gemm_packed(
                             let mr_eff = MR.min(mc_eff - ir);
                             let apanel = &a_strip[(ic + ir) * kcs..(ic + ir) * kcs + MR * kcs];
                             let tile0 = ir * ldc + c_col + jc + jr;
-                            microkernel(
-                                kcs,
-                                apanel,
-                                bpanel,
-                                &mut cchunk[tile0..],
-                                ldc,
-                                mr_eff,
-                                nr_eff,
-                                sub,
-                            );
+                            // SAFETY: `tier` came from `Tier::detect`.
+                            unsafe {
+                                microkernel(
+                                    tier,
+                                    kcs,
+                                    apanel,
+                                    bpanel,
+                                    &mut cchunk[tile0..],
+                                    ldc,
+                                    mr_eff,
+                                    nr_eff,
+                                    sub,
+                                );
+                            }
                             ir += MR;
                         }
                         jr += NR;
                     }
                 };
-                // `c` covers exactly m rows; chunk it MC rows at a time.
+                // `c` covers exactly the m rows here; chunk it MC rows at a time.
                 let t_kern = trace.map(WallTrack::now_ns);
                 // Rayon fan-out only pays for itself with real threads
                 // and more than one MC-row panel; otherwise fall through
@@ -550,6 +741,106 @@ mod tests {
         // The A block must be untouched.
         for i in 0..m {
             assert_eq!(&ac[i * ld..i * ld + kdim], a.row(i));
+        }
+    }
+
+    #[test]
+    fn dgemm_update_sweeps_only_m_rows_of_an_oversize_backing_slice() {
+        // The blocked TRSM hands the engine the whole trailing matrix:
+        // rows past `m` (here past two MC boundaries) must be neither
+        // read as A nor written.
+        let mut rng = Rng::new(13);
+        let (m, n, kdim) = (MR + 3, NR + 5, 7);
+        let (rows, ld) = (m + 2 * MC, kdim + n);
+        let ac0: Vec<f64> = (0..rows * ld).map(|_| rng.next_f64() - 0.5).collect();
+        let b = Mat::random(kdim, n, &mut rng);
+        for parallel in [false, true] {
+            let mut ac = ac0.clone();
+            dgemm_update(
+                &mut ac,
+                ld,
+                0,
+                kdim,
+                m,
+                n,
+                kdim,
+                b.as_slice(),
+                n,
+                0,
+                parallel,
+            );
+            for i in 0..m {
+                for j in 0..n {
+                    let ab: f64 = (0..kdim).map(|p| ac0[i * ld + p] * b[(p, j)]).sum();
+                    let want = ac0[i * ld + kdim + j] - ab;
+                    let got = ac[i * ld + kdim + j];
+                    assert!((got - want).abs() < 1e-12, "({i},{j}): {got} vs {want}");
+                }
+            }
+            assert_eq!(&ac[m * ld..], &ac0[m * ld..], "rows past m untouched");
+        }
+    }
+
+    #[test]
+    fn microkernel_tiers_match_the_fma_chain_on_full_and_edge_tiles() {
+        // Both SIMD tiers promise every element the chain `acc = 0`,
+        // `acc = fma(a, b, acc)` in k order, then one `c ± acc`: check
+        // each against that chain bit for bit (so they are bit-identical
+        // to each other), and the portable body within roundoff. Cells
+        // outside the valid corner must stay untouched.
+        let available = |t: Tier| match t {
+            Tier::Avx512f => crate::simd::avx512f_available(),
+            Tier::Avx2Fma => crate::simd::avx2_fma_available(),
+            Tier::Portable => true,
+        };
+        let mut rng = Rng::new(29);
+        let ldc = NR + 5;
+        for kcs in [1, 7, KC] {
+            let ap: Vec<f64> = (0..kcs * MR).map(|_| rng.next_f64() - 0.5).collect();
+            let bp: Vec<f64> = (0..kcs * NR).map(|_| rng.next_f64() - 0.5).collect();
+            let c0: Vec<f64> = (0..MR * ldc).map(|_| rng.next_f64() - 0.5).collect();
+            for (mr_eff, nr_eff) in [
+                (MR, NR),
+                (1, 1),
+                (5, NR),
+                (7, 9),
+                (6, 8),
+                (MR, 3),
+                (MR - 1, NR - 1),
+            ] {
+                for sub in [false, true] {
+                    let mut want = c0.clone();
+                    for i in 0..mr_eff {
+                        for j in 0..nr_eff {
+                            let mut acc = 0.0f64;
+                            for p in 0..kcs {
+                                acc = ap[p * MR + i].mul_add(bp[p * NR + j], acc);
+                            }
+                            let c = &mut want[i * ldc + j];
+                            *c = if sub { *c - acc } else { *c + acc };
+                        }
+                    }
+                    for tier in [Tier::Avx512f, Tier::Avx2Fma, Tier::Portable] {
+                        if !available(tier) {
+                            continue;
+                        }
+                        let mut got = c0.clone();
+                        // SAFETY: the host supports `tier` (checked above).
+                        unsafe {
+                            microkernel(tier, kcs, &ap, &bp, &mut got, ldc, mr_eff, nr_eff, sub);
+                        }
+                        let what = format!("{tier:?} kcs={kcs} {mr_eff}x{nr_eff} sub={sub}");
+                        for (idx, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                            let inside = idx / ldc < mr_eff && idx % ldc < nr_eff;
+                            if tier == Tier::Portable && inside {
+                                assert!((g - w).abs() < 1e-12, "{what} at {idx}: {g} vs {w}");
+                            } else {
+                                assert_eq!(g.to_bits(), w.to_bits(), "{what} at {idx}");
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

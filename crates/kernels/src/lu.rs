@@ -4,7 +4,7 @@
 //! `lu_factor` / `lu_factor_par` factor in place (unit-lower L below the
 //! diagonal, U on and above) with full-row pivot swaps recorded in `piv`.
 //!
-//! ## Engine v2 block step
+//! ## Block step
 //!
 //! All three phases of a block step run through cache-aware kernels so
 //! the trailing `dgemm_update` (where the O(n³) work lives) is no longer
@@ -12,33 +12,38 @@
 //!
 //! * **Panel** — columns `[k, k+kb)` are packed into a contiguous
 //!   `(n-k) × kb` buffer and factored there by *recursive* width
-//!   splitting: each half's own trailing update is a BLAS3
-//!   [`crate::gemm::dgemm_update`] on the packed buffer, so only the
-//!   narrow `PANEL_BASE`-column base case runs rank-1 loops (and those
-//!   are compiled with AVX2 enabled). Pivot swaps touch the 1–2 KB
-//!   packed rows; the untouched matrix columns get one deferred
-//!   `laswp`-style sweep afterwards — bit-identical values, a fraction
-//!   of the memory traffic.
-//! * **TRSM** — `U12 = L11⁻¹·A12` with the `kb × kb` unit-lower
-//!   triangle packed column-major and the trailing columns processed in
-//!   8-wide register strips: for each strip the whole triangular solve
-//!   runs out of L1 with 4-row FMA tiles (AVX2+FMA, runtime-dispatched
-//!   with the original row-oriented loop as the portable fallback).
+//!   splitting: each half's own TRSM and trailing update are BLAS3
+//!   calls on the packed buffer, so only the narrow `PANEL_BASE`-column
+//!   base case runs rank-1 loops. The base case works on a column-major
+//!   copy of its block (contiguous pivot search and column updates,
+//!   compiled with AVX2 enabled). Pivot swaps touch the 1–2 KB packed
+//!   rows; the untouched matrix columns get one deferred `laswp`-style
+//!   sweep afterwards — bit-identical values, a fraction of the memory
+//!   traffic.
+//! * **TRSM** — `U12 = L11⁻¹·A12`, blocked: each `TB`-row diagonal
+//!   block of L11 is packed column-major and solved onto its rows in
+//!   8-wide register strips with 4-row FMA tiles (AVX2+FMA,
+//!   runtime-dispatched with the row-oriented loop as the portable
+//!   fallback); the rows below the block are then updated by one
+//!   [`crate::gemm::dgemm_update`], so most of the TRSM's FLOPs run on
+//!   the GEMM microkernel.
 //! * **Update** — `A22 -= L21·U12` through the packed GEMM engine;
 //!   the Rayon variant parallelises over disjoint MC-row panels of the
 //!   trailing matrix (fixed decomposition, one task per panel), which
 //!   keeps every element's accumulation order independent of thread
 //!   count: sequential and parallel runs are bit-identical.
 //!
-//! The sweet spot for the block width on AVX2 hosts is `nb = 192`
-//! ([`DEFAULT_NB`]): deep enough that the trailing update runs at the
-//! packed engine's near-peak rate, narrow enough that panel+TRSM stay a
-//! small fraction of the time (see `BENCH_kernels.json`).
+//! The block width is [`DEFAULT_NB`] = 192: re-measured with the FMA
+//! microkernel and the blocked TRSM, the one-thread factor time at
+//! n=1024 is flat from `nb = 128` to `192`, while at n=2048 the deeper
+//! trailing update of `nb = 192` outweighs its larger panel and TRSM
+//! (see `BENCH_kernels.json`).
 
 use crate::gemm;
 use crate::mat::Mat;
 use crate::simd;
 use hpcc_trace::{names, Recorder, WallTrack};
+use std::ops::Range;
 
 /// Block width below which the packed panel is factored by right-looking
 /// rank-1 updates (the recursion base). Chosen so the base case's
@@ -46,8 +51,13 @@ use hpcc_trace::{names, Recorder, WallTrack};
 /// register/L1 friendly while the recursion above it runs BLAS3.
 const PANEL_BASE: usize = 16;
 
-/// Default block width for AVX2-class hosts: the measured knee where the
-/// trailing `dgemm_update` reaches the packed engine's full rate (see
+/// Rows per diagonal block of the blocked TRSM ([`trsm`]): the
+/// triangle inside a block is solved by the strip kernel, everything
+/// below it by the packed GEMM engine.
+const TB: usize = 32;
+
+/// Default block width: the measured knee where the trailing
+/// `dgemm_update` reaches the packed engine's full rate (see
 /// `BENCH_kernels.json`).
 pub const DEFAULT_NB: usize = 192;
 
@@ -113,10 +123,10 @@ fn lu_factor_impl(
     assert_eq!(n, a.cols(), "LU needs a square matrix");
     assert!(nb > 0);
     let mut piv = vec![0usize; n];
-    // Reused across block steps: the packed panel and the packed
-    // column-major L11 triangle for the TRSM.
+    // Reused across block steps: the packed panel and the column-major
+    // copy of its base-case blocks.
     let mut panel = Vec::new();
-    let mut tri = Vec::new();
+    let mut cols = Vec::new();
 
     let mut k = 0;
     while k < n {
@@ -135,7 +145,8 @@ fn lu_factor_impl(
                 dst.copy_from_slice(row);
             }
             let mut lp = vec![0usize; kb];
-            factor_panel(&mut panel, rows, kb, use_simd, &mut lp).map_err(|j| Singular(k + j))?;
+            factor_panel(&mut panel, rows, kb, use_simd, &mut lp, &mut cols)
+                .map_err(|j| Singular(k + j))?;
             for (r, src) in panel.chunks_exact(kb).enumerate() {
                 am[(k + r) * ncols + k..(k + r) * ncols + k + kb].copy_from_slice(src);
             }
@@ -162,7 +173,7 @@ fn lu_factor_impl(
         if k + kb < n {
             // --- U12 = L11^{-1} A12 (unit lower triangular solve). ---
             let t_trsm = trace.map(WallTrack::now_ns);
-            trsm_rowblock(a, k, kb, use_simd, &mut tri);
+            trsm(a.as_mut_slice(), n, k, kb, k + kb..n, use_simd);
             if let (Some(t), Some(t0)) = (trace, t_trsm) {
                 t.span_from("trsm", "trsm", t0);
             }
@@ -209,14 +220,16 @@ fn factor_panel(
     w: usize,
     use_simd: bool,
     lp: &mut [usize],
+    cols: &mut Vec<f64>,
 ) -> Result<(), usize> {
-    factor_range(p, rows, w, 0, w, use_simd, lp)
+    factor_range(p, rows, w, 0, w, use_simd, lp, cols)
 }
 
 /// Recursive width splitting over panel columns `[c0, c0+wc)`: factor
 /// the left half, solve it onto the right half's top rows, BLAS3-update
 /// the right half's trailing rows, recurse right. The base case is the
 /// right-looking rank-1 engine on `PANEL_BASE` columns.
+#[allow(clippy::too_many_arguments)]
 fn factor_range(
     p: &mut [f64],
     rows: usize,
@@ -225,35 +238,26 @@ fn factor_range(
     wc: usize,
     use_simd: bool,
     lp: &mut [usize],
+    cols: &mut Vec<f64>,
 ) -> Result<(), usize> {
     if wc <= PANEL_BASE {
         return if use_simd {
             // SAFETY: dispatch guarded by `avx2_fma_available`.
             #[cfg(target_arch = "x86_64")]
             unsafe {
-                factor_base_avx2(p, rows, w, c0, wc, lp)
+                factor_base_avx2(p, rows, w, c0, wc, lp, cols)
             }
             #[cfg(not(target_arch = "x86_64"))]
-            factor_base(p, rows, w, c0, wc, lp)
+            factor_base(p, rows, w, c0, wc, lp, cols)
         } else {
-            factor_base(p, rows, w, c0, wc, lp)
+            factor_base(p, rows, w, c0, wc, lp, cols)
         };
     }
     let w1 = wc / 2;
-    factor_range(p, rows, w, c0, w1, use_simd, lp)?;
-    // Small TRSM inside the panel: unit-lower (w1×w1 at (c0,c0)) onto
-    // the right-half rows c0..c0+w1 — a few KB, runs out of cache.
-    for jj in c0 + 1..c0 + w1 {
-        for ii in c0..jj {
-            let l = p[jj * w + ii];
-            if l != 0.0 {
-                let (ri, rj) = packed_row_pair(p, w, ii, jj);
-                for c in c0 + w1..c0 + wc {
-                    rj[c] -= l * ri[c];
-                }
-            }
-        }
-    }
+    factor_range(p, rows, w, c0, w1, use_simd, lp, cols)?;
+    // TRSM inside the panel: unit-lower (w1×w1 at (c0,c0)) onto the
+    // right-half rows c0..c0+w1 — a few KB, runs out of cache.
+    trsm(p, w, c0, w1, c0 + w1..c0 + wc, use_simd);
     // Right-half trailing rows: one packed-engine update (this is where
     // most of the panel's FLOPs land once wc > 2·PANEL_BASE).
     let (upper, lower) = p.split_at_mut((c0 + w1) * w);
@@ -270,12 +274,20 @@ fn factor_range(
         c0 + w1,
         false,
     );
-    factor_range(p, rows, w, c0 + w1, wc - w1, use_simd, lp)
+    factor_range(p, rows, w, c0 + w1, wc - w1, use_simd, lp, cols)
 }
 
 /// Right-looking rank-1 base case on packed panel columns `[c0, c0+wc)`.
 /// Identical arithmetic (and order) to the pre-v2 scalar panel, so
 /// `nb ≤ PANEL_BASE` reproduces the legacy factors bit-for-bit.
+///
+/// The block's rows `c0..rows` are first copied column-major into
+/// `cols`, so the pivot search, the multiplier scaling and each
+/// column's rank-1 update run over contiguous memory instead of one
+/// strided pass over the packed rows per column. Row swaps move the
+/// block's columns at once; the panel columns outside the block get
+/// them, in pivot order, when the block is copied back.
+#[inline(always)]
 fn factor_base(
     p: &mut [f64],
     rows: usize,
@@ -283,40 +295,63 @@ fn factor_base(
     c0: usize,
     wc: usize,
     lp: &mut [usize],
+    cols: &mut Vec<f64>,
 ) -> Result<(), usize> {
-    for jj in c0..c0 + wc {
-        // Pivot search down packed column jj.
-        let mut pr = jj;
-        let mut best = p[jj * w + jj].abs();
-        for r in jj + 1..rows {
-            let v = p[r * w + jj].abs();
-            if v > best {
-                best = v;
+    let h = rows - c0;
+    cols.clear();
+    cols.resize(wc * h, 0.0);
+    for (r, row) in p[c0 * w..rows * w].chunks_exact(w).enumerate() {
+        for (c, &v) in row[c0..c0 + wc].iter().enumerate() {
+            cols[c * h + r] = v;
+        }
+    }
+    for j in 0..wc {
+        let col = &cols[j * h..(j + 1) * h];
+        let mut pr = j;
+        let mut best = col[j].abs();
+        for (r, v) in col.iter().enumerate().skip(j + 1) {
+            if v.abs() > best {
+                best = v.abs();
                 pr = r;
             }
         }
         // A NaN column maximum would sail through a `== 0.0` test and
         // poison the whole factorisation; reject it like a zero pivot.
         if best == 0.0 || !best.is_finite() {
-            return Err(jj);
+            return Err(c0 + j);
         }
-        lp[jj] = pr;
-        if pr != jj {
-            let (ra, rb) = packed_row_pair_mut(p, w, jj, pr);
-            ra.swap_with_slice(rb);
-        }
-        let inv = 1.0 / p[jj * w + jj];
-        for r in jj + 1..rows {
-            p[r * w + jj] *= inv;
-        }
-        for r in jj + 1..rows {
-            let l = p[r * w + jj];
-            if l != 0.0 {
-                let (rj, rr) = packed_row_pair(p, w, jj, r);
-                for c in jj + 1..c0 + wc {
-                    rr[c] -= l * rj[c];
-                }
+        lp[c0 + j] = c0 + pr;
+        if pr != j {
+            for col in cols.chunks_exact_mut(h) {
+                col.swap(j, pr);
             }
+        }
+        let (left, right) = cols.split_at_mut((j + 1) * h);
+        let inv = 1.0 / left[j * h + j];
+        let l = &mut left[j * h + j + 1..];
+        for x in l.iter_mut() {
+            *x *= inv;
+        }
+        for col in right.chunks_exact_mut(h) {
+            let u = col[j];
+            // Subtracting +0.0 leaves every value (±0, NaN) as it was,
+            // so the select matches the scalar engine's skip of zero
+            // multipliers bit for bit while staying vectorisable.
+            for (x, &lr) in col[j + 1..].iter_mut().zip(&*l) {
+                *x -= if lr != 0.0 { lr * u } else { 0.0 };
+            }
+        }
+    }
+    for (r, row) in p[c0 * w..rows * w].chunks_exact_mut(w).enumerate() {
+        for (c, v) in row[c0..c0 + wc].iter_mut().enumerate() {
+            *v = cols[c * h + r];
+        }
+    }
+    for (j, &pr) in (c0..).zip(&lp[c0..c0 + wc]) {
+        if pr != j {
+            let (ra, rb) = row_pair_mut(p, w, j, pr);
+            ra[..c0].swap_with_slice(&mut rb[..c0]);
+            ra[c0 + wc..].swap_with_slice(&mut rb[c0 + wc..]);
         }
     }
     Ok(())
@@ -333,64 +368,100 @@ unsafe fn factor_base_avx2(
     c0: usize,
     wc: usize,
     lp: &mut [usize],
+    cols: &mut Vec<f64>,
 ) -> Result<(), usize> {
-    factor_base(p, rows, w, c0, wc, lp)
+    factor_base(p, rows, w, c0, wc, lp, cols)
 }
 
-/// Borrow two distinct packed rows `i < j`: (shared `i`, mutable `j`).
-fn packed_row_pair(p: &mut [f64], w: usize, i: usize, j: usize) -> (&[f64], &mut [f64]) {
+/// Borrow two distinct rows `i < j` of a row-major block: (shared `i`,
+/// mutable `j`).
+fn row_pair(p: &mut [f64], w: usize, i: usize, j: usize) -> (&[f64], &mut [f64]) {
     debug_assert!(i < j);
     let (top, bot) = p.split_at_mut(j * w);
     (&top[i * w..(i + 1) * w], &mut bot[..w])
 }
 
-/// Borrow two distinct packed rows mutably (any order).
-fn packed_row_pair_mut(p: &mut [f64], w: usize, a: usize, b: usize) -> (&mut [f64], &mut [f64]) {
+/// Borrow two distinct rows `a < b` of a row-major block mutably.
+fn row_pair_mut(p: &mut [f64], w: usize, a: usize, b: usize) -> (&mut [f64], &mut [f64]) {
     debug_assert!(a < b);
     let (top, bot) = p.split_at_mut(b * w);
     (&mut top[a * w..(a + 1) * w], &mut bot[..w])
 }
 
-/// `U12 = L11⁻¹ · A12` for the block step at `k`: unit-lower `kb × kb`
-/// triangle at `(k, k)` solved onto rows `k..k+kb` of the trailing
-/// columns `k+kb..n`. Dispatches to the packed AVX2 strip kernel; the
-/// portable fallback is the original row-oriented loop.
-fn trsm_rowblock(a: &mut Mat, k: usize, kb: usize, use_simd: bool, tri: &mut Vec<f64>) {
-    let n = a.cols();
-    let trail = n - (k + kb);
-    if kb <= 1 || trail == 0 {
+/// `B = L⁻¹·B` for the unit-lower `kb × kb` triangle `L` at `(r0, r0)`
+/// of the row-major block `m` (leading dimension `ld`), where `B` is
+/// rows `r0..r0+kb` over `cols` — `U12 = L11⁻¹·A12` for a block step,
+/// and the same solve inside the recursive panel. Blocked: each
+/// `TB`-row diagonal block is solved by [`trsm_diag`], then its solved
+/// rows are applied to every row below the block in one packed-engine
+/// [`gemm::dgemm_update`] (the in-place layout the trailing update
+/// uses), so all but `kb·TB/2` of the `kb²/2` rank-1 row updates run as
+/// GEMM.
+fn trsm(m: &mut [f64], ld: usize, r0: usize, kb: usize, cols: Range<usize>, use_simd: bool) {
+    if kb <= 1 || cols.is_empty() {
         return;
     }
-    if use_simd {
-        // Pack the strictly-lower triangle of L11 column-major:
-        // `tri[i·kb + j] = L[j][i]` so a 4-row tile's multipliers for
-        // one solve column sit contiguously for broadcast loads.
-        tri.clear();
-        tri.resize(kb * kb, 0.0);
-        for j in 1..kb {
-            for i in 0..j {
-                tri[i * kb + j] = a[(k + j, k + i)];
-            }
+    let mut j0 = r0;
+    while j0 < r0 + kb {
+        let tb = TB.min(r0 + kb - j0);
+        trsm_diag(m, ld, j0, tb, cols.clone(), use_simd);
+        let below = r0 + kb - (j0 + tb);
+        if below > 0 {
+            // Rows j0+tb..r0+kb of B -= L[those rows, j0..j0+tb] · (the
+            // tb rows just solved). `lower` may run past those rows; the
+            // engine sweeps only the `below` rows it is given.
+            let (upper, lower) = m.split_at_mut((j0 + tb) * ld);
+            gemm::dgemm_update(
+                lower,
+                ld,
+                j0,
+                cols.start,
+                below,
+                cols.len(),
+                tb,
+                &upper[j0 * ld..],
+                ld,
+                cols.start,
+                false,
+            );
         }
+        j0 += tb;
+    }
+}
+
+/// Solve the `tb × tb` (`tb ≤ TB`) unit-lower triangle at `(r0, r0)`
+/// onto rows `r0..r0+tb` over `cols`. Dispatches to the packed AVX2
+/// strip kernel; the portable fallback is the row-oriented loop.
+fn trsm_diag(m: &mut [f64], ld: usize, r0: usize, tb: usize, cols: Range<usize>, use_simd: bool) {
+    if use_simd {
         #[cfg(target_arch = "x86_64")]
         {
-            let ld = n;
+            // Pack the strictly-lower triangle column-major:
+            // `tri[i·tb + j] = L[j][i]` so a 4-row tile's multipliers for
+            // one solve column sit contiguously for broadcast loads.
+            let mut tri = [0.0; TB * TB];
+            for j in 1..tb {
+                for i in 0..j {
+                    tri[i * tb + j] = m[(r0 + j) * ld + r0 + i];
+                }
+            }
             // SAFETY: dispatch guarded by `avx2_fma_available`; the
-            // kernel stays inside rows k..k+kb, cols k+kb..n.
+            // kernel asserts the block and the triangle lie inside its
+            // slices.
             unsafe {
-                trsm_strips_avx2(a.as_mut_slice(), ld, k, kb, trail, tri);
+                trsm_strips_avx2(m, ld, r0 * ld + cols.start, tb, cols.len(), &tri);
             }
             return;
         }
     }
     // Portable fallback: for each target row j, subtract the already-
-    // solved rows i < j (row-oriented axpys over the trailing columns).
-    for j in k + 1..k + kb {
-        for i in k..j {
-            let lji = a[(j, i)];
+    // solved rows i < j (row-oriented axpys over the solve columns).
+    for j in r0 + 1..r0 + tb {
+        for i in r0..j {
+            let lji = m[j * ld + i];
             if lji != 0.0 {
-                let (ri, rj) = row_pair(a, i, j);
-                for c in k + kb..n {
+                let (ri, rj) = row_pair(m, ld, i, j);
+                for c in cols.clone() {
                     rj[c] -= lji * ri[c];
                 }
             }
@@ -398,29 +469,38 @@ fn trsm_rowblock(a: &mut Mat, k: usize, kb: usize, use_simd: bool, tri: &mut Vec
     }
 }
 
-/// The packed TRSM kernel: trailing columns in 8-wide strips; for each
-/// strip the full `kb`-row triangular solve runs with 4-row FMA tiles —
-/// every row's 64-byte strip segment stays L1-resident across its
-/// O(kb) reuses. Tail columns (trail % 8) fall back to the row loop.
+/// The packed TRSM kernel on the `rows × trail` block at `am[off..]`
+/// (leading dimension `ld`), with the unit-lower triangle packed
+/// column-major in `tri` (leading dimension `rows`). Columns run in
+/// 8-wide strips; for each strip the full `rows`-row triangular solve
+/// runs with 4-row FMA tiles — every row's 64-byte strip segment stays
+/// L1-resident across its O(rows) reuses. Tail columns (trail % 8) fall
+/// back to the row loop.
+///
+/// # Safety
+///
+/// The host must support AVX2 and FMA; `am` must hold the block
+/// (`off + (rows-1)·ld + trail ≤ am.len()`) and `tri` `rows²` values.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::needless_range_loop)]
 unsafe fn trsm_strips_avx2(
     am: &mut [f64],
     ld: usize,
-    k: usize,
-    kb: usize,
+    off: usize,
+    rows: usize,
     trail: usize,
     tri: &[f64],
 ) {
     use std::arch::x86_64::*;
-    let base = am.as_mut_ptr().add(k * ld + k + kb);
+    assert!(off + (rows - 1) * ld + trail <= am.len() && tri.len() >= rows * rows);
+    let base = am.as_mut_ptr().add(off);
     let main = trail - trail % 8;
     let mut c0 = 0;
     while c0 < main {
         let mut j0 = 0;
-        while j0 < kb {
-            let jt = 4.min(kb - j0);
+        while j0 < rows {
+            let jt = 4.min(rows - j0);
             let mut acc = [[_mm256_setzero_pd(); 2]; 4];
             for r in 0..jt {
                 let row = base.add((j0 + r) * ld + c0);
@@ -432,7 +512,7 @@ unsafe fn trsm_strips_avx2(
                 let src = base.add(i * ld + c0);
                 let s0 = _mm256_loadu_pd(src);
                 let s1 = _mm256_loadu_pd(src.add(4));
-                let lcol = tri.as_ptr().add(i * kb + j0);
+                let lcol = tri.as_ptr().add(i * rows + j0);
                 for r in 0..jt {
                     let l = _mm256_broadcast_sd(&*lcol.add(r));
                     acc[r][0] = _mm256_fnmadd_pd(l, s0, acc[r][0]);
@@ -443,7 +523,7 @@ unsafe fn trsm_strips_avx2(
             // whose final strip values are already in registers.
             for r in 1..jt {
                 for q in 0..r {
-                    let l = _mm256_broadcast_sd(&*tri.as_ptr().add((j0 + q) * kb + j0 + r));
+                    let l = _mm256_broadcast_sd(&*tri.as_ptr().add((j0 + q) * rows + j0 + r));
                     acc[r][0] = _mm256_fnmadd_pd(l, acc[q][0], acc[r][0]);
                     acc[r][1] = _mm256_fnmadd_pd(l, acc[q][1], acc[r][1]);
                 }
@@ -458,9 +538,9 @@ unsafe fn trsm_strips_avx2(
         c0 += 8;
     }
     // Tail columns: plain row-oriented solve on the last < 8 columns.
-    for j in 1..kb {
+    for j in 1..rows {
         for i in 0..j {
-            let l = tri[i * kb + j];
+            let l = tri[i * rows + j];
             let src = base.add(i * ld + main);
             let dst = base.add(j * ld + main);
             for c in 0..trail - main {
@@ -468,14 +548,6 @@ unsafe fn trsm_strips_avx2(
             }
         }
     }
-}
-
-/// Borrow two distinct rows, `i < j`, one shared and one mutable.
-fn row_pair(a: &mut Mat, i: usize, j: usize) -> (&[f64], &mut [f64]) {
-    debug_assert!(i < j);
-    let ncols = a.cols();
-    let (top, bot) = a.as_mut_slice().split_at_mut(j * ncols);
-    (&top[i * ncols..(i + 1) * ncols], &mut bot[..ncols])
 }
 
 /// Solve `A x = b` given the in-place factorisation and pivot vector.
@@ -612,7 +684,9 @@ mod tests {
         for n in [65, 130, 200] {
             let a = Mat::random(n, n, &mut rng);
             let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
-            for nb in [24, 48, DEFAULT_NB] {
+            // 33 and 50 end the blocked TRSM on a partial TB-row block;
+            // 96, 128 and DEFAULT_NB span several full ones.
+            for nb in [24, 33, 48, 50, 96, 128, DEFAULT_NB] {
                 let mut f = a.clone();
                 let piv = lu_factor(&mut f, nb).unwrap();
                 let x = lu_solve(&f, &piv, &b);
@@ -629,24 +703,28 @@ mod tests {
     fn parallel_is_bit_identical_to_sequential() {
         let mut rng = Rng::new(41);
         let a = Mat::random(80, 80, &mut rng);
-        let mut fs = a.clone();
-        let ps = lu_factor(&mut fs, 16).unwrap();
-        let mut fp = a.clone();
-        let pp = lu_factor_par(&mut fp, 16).unwrap();
-        assert_eq!(ps, pp);
-        assert_eq!(fs, fp, "parallel update must not reorder arithmetic");
+        for nb in [16, 33, 50] {
+            let mut fs = a.clone();
+            let ps = lu_factor(&mut fs, nb).unwrap();
+            let mut fp = a.clone();
+            let pp = lu_factor_par(&mut fp, nb).unwrap();
+            assert_eq!(ps, pp, "nb={nb}");
+            assert_eq!(fs, fp, "parallel update must not reorder arithmetic");
+        }
     }
 
     #[test]
     fn parallel_is_bit_identical_at_default_nb() {
         let mut rng = Rng::new(43);
         let a = Mat::random(300, 300, &mut rng);
-        let mut fs = a.clone();
-        let ps = lu_factor(&mut fs, DEFAULT_NB).unwrap();
-        let mut fp = a.clone();
-        let pp = lu_factor_par(&mut fp, DEFAULT_NB).unwrap();
-        assert_eq!(ps, pp);
-        assert_eq!(fs, fp, "parallel update must not reorder arithmetic");
+        for nb in [96, 128, DEFAULT_NB] {
+            let mut fs = a.clone();
+            let ps = lu_factor(&mut fs, nb).unwrap();
+            let mut fp = a.clone();
+            let pp = lu_factor_par(&mut fp, nb).unwrap();
+            assert_eq!(ps, pp, "nb={nb}");
+            assert_eq!(fs, fp, "parallel update must not reorder arithmetic");
+        }
     }
 
     #[test]
