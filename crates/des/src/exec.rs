@@ -17,7 +17,7 @@ use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
-/// Identifies a spawned task within one [`Tasks`] executor.
+/// Identifies a spawned task within one [`LaneTasks`] executor.
 pub type TaskId = usize;
 
 #[derive(Default)]
@@ -39,38 +39,45 @@ impl Wake for TaskWaker {
 type BoxedTask = Pin<Box<dyn Future<Output = ()> + 'static>>;
 
 /// The task set: spawn futures, then alternate `run_ready()` with event
-/// processing in the embedding simulator's main loop.
-pub struct Tasks {
+/// processing in the embedding simulator's dispatch loop. The mesh
+/// simulator runs one `LaneTasks` per event lane, so lanes never contend
+/// on a shared ready queue.
+///
+/// Each task's [`Waker`] is built once at spawn and reused for every
+/// poll: at millions of polls per simulated second, a per-poll waker
+/// allocation would be a measurable share of the dispatch loop.
+#[derive(Default)]
+pub struct LaneTasks {
     slots: Vec<Option<BoxedTask>>,
+    wakers: Vec<Waker>,
     ready: Arc<ReadyQueue>,
-    /// Local scratch the ready queue is swapped into once per pass, so
-    /// `run_ready` takes the lock once per batch instead of once per poll.
     scratch: VecDeque<TaskId>,
     live: usize,
     polls: u64,
 }
 
-impl Default for Tasks {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Tasks {
-    pub fn new() -> Tasks {
-        Tasks {
-            slots: Vec::new(),
+impl LaneTasks {
+    /// A lane pre-sized for `cap` tasks (one per node it owns).
+    pub fn with_capacity(cap: usize) -> LaneTasks {
+        LaneTasks {
+            slots: Vec::with_capacity(cap),
+            wakers: Vec::with_capacity(cap),
             ready: Arc::new(ReadyQueue::default()),
-            scratch: VecDeque::new(),
+            scratch: VecDeque::with_capacity(cap),
             live: 0,
             polls: 0,
         }
     }
 
-    /// Spawn a task; it will run on the next `run_ready()`.
+    /// Spawn a task; it will run on the next `run_ready()`. Ids are local
+    /// to this lane.
     pub fn spawn(&mut self, fut: impl Future<Output = ()> + 'static) -> TaskId {
         let id = self.slots.len();
         self.slots.push(Some(Box::pin(fut)));
+        self.wakers.push(Waker::from(Arc::new(TaskWaker {
+            ready: Arc::clone(&self.ready),
+            id,
+        })));
         self.live += 1;
         self.ready.queue.lock().unwrap().push_back(id);
         id
@@ -92,11 +99,6 @@ impl Tasks {
     #[inline]
     pub fn polls(&self) -> u64 {
         self.polls
-    }
-
-    /// Whether any task is queued to run.
-    pub fn has_ready(&self) -> bool {
-        !self.ready.queue.lock().unwrap().is_empty()
     }
 
     /// Number of tasks queued to run — the executor's ready-queue depth,
@@ -129,8 +131,7 @@ impl Tasks {
     ///
     /// The shared queue is swapped into a local batch once per pass — one
     /// lock acquisition per batch, not one per poll. Processing a drained
-    /// batch in order and then re-draining preserves the exact global
-    /// FIFO order of the old pop-one-under-the-lock loop.
+    /// batch in order and then re-draining keeps the global FIFO order.
     pub fn run_ready(&mut self) -> u64 {
         let start = self.polls;
         loop {
@@ -143,136 +144,6 @@ impl Tasks {
             }
             while let Some(id) = self.scratch.pop_front() {
                 // A task may be woken after it finished; skip silently.
-                let Some(mut fut) = self.slots[id].take() else {
-                    continue;
-                };
-                let waker = Waker::from(Arc::new(TaskWaker {
-                    ready: Arc::clone(&self.ready),
-                    id,
-                }));
-                let mut cx = Context::from_waker(&waker);
-                self.polls += 1;
-                match fut.as_mut().poll(&mut cx) {
-                    Poll::Ready(()) => {
-                        self.live -= 1;
-                    }
-                    Poll::Pending => {
-                        self.slots[id] = Some(fut);
-                    }
-                }
-            }
-        }
-        self.polls - start
-    }
-}
-
-/// The per-lane executor of the sharded DES engine: one `LaneTasks` per
-/// event lane, each with its own ready queue, so lanes never contend on a
-/// global `Mutex<VecDeque>`.
-///
-/// Scheduling semantics are identical to [`Tasks`] (FIFO ready queue,
-/// wakes during a pass processed in the same call), so a single lane
-/// running every task executes in exactly the legacy order. The
-/// difference is mechanical: each task's [`Waker`] is built once at spawn
-/// and reused for every poll, where [`Tasks`] allocates a fresh
-/// `Arc<TaskWaker>` per poll — at millions of polls per simulated second
-/// that allocation is a measurable share of the dispatch loop.
-pub struct LaneTasks {
-    slots: Vec<Option<BoxedTask>>,
-    wakers: Vec<Waker>,
-    ready: Arc<ReadyQueue>,
-    scratch: VecDeque<TaskId>,
-    live: usize,
-    polls: u64,
-}
-
-impl Default for LaneTasks {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LaneTasks {
-    pub fn new() -> LaneTasks {
-        LaneTasks {
-            slots: Vec::new(),
-            wakers: Vec::new(),
-            ready: Arc::new(ReadyQueue::default()),
-            scratch: VecDeque::new(),
-            live: 0,
-            polls: 0,
-        }
-    }
-
-    /// A lane pre-sized for `cap` tasks (one per node it owns).
-    pub fn with_capacity(cap: usize) -> LaneTasks {
-        LaneTasks {
-            slots: Vec::with_capacity(cap),
-            wakers: Vec::with_capacity(cap),
-            ready: Arc::new(ReadyQueue::default()),
-            scratch: VecDeque::with_capacity(cap),
-            live: 0,
-            polls: 0,
-        }
-    }
-
-    /// Spawn a task; it will run on the next `run_ready()`. Ids are local
-    /// to this lane.
-    pub fn spawn(&mut self, fut: impl Future<Output = ()> + 'static) -> TaskId {
-        let id = self.slots.len();
-        self.slots.push(Some(Box::pin(fut)));
-        self.wakers.push(Waker::from(Arc::new(TaskWaker {
-            ready: Arc::clone(&self.ready),
-            id,
-        })));
-        self.live += 1;
-        self.ready.queue.lock().unwrap().push_back(id);
-        id
-    }
-
-    #[inline]
-    pub fn live(&self) -> usize {
-        self.live
-    }
-
-    #[inline]
-    pub fn all_done(&self) -> bool {
-        self.live == 0
-    }
-
-    #[inline]
-    pub fn polls(&self) -> u64 {
-        self.polls
-    }
-
-    /// Abort a live task (drop its future unrun) and drain any stale
-    /// wakes queued for it. Returns true if the task was live.
-    pub fn abort(&mut self, id: TaskId) -> bool {
-        match self.slots.get_mut(id).and_then(Option::take) {
-            Some(_fut) => {
-                self.live -= 1;
-                self.ready.queue.lock().unwrap().retain(|&q| q != id);
-                self.scratch.retain(|&q| q != id);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Poll every ready task until the lane's ready queue drains, batch-
-    /// swapping the queue once per pass. Same quiescence contract as
-    /// [`Tasks::run_ready`].
-    pub fn run_ready(&mut self) -> u64 {
-        let start = self.polls;
-        loop {
-            {
-                let mut q = self.ready.queue.lock().unwrap();
-                if q.is_empty() {
-                    break;
-                }
-                std::mem::swap(&mut *q, &mut self.scratch);
-            }
-            while let Some(id) = self.scratch.pop_front() {
                 let Some(mut fut) = self.slots[id].take() else {
                     continue;
                 };
@@ -402,7 +273,7 @@ mod tests {
 
     #[test]
     fn task_runs_to_completion() {
-        let mut tasks = Tasks::new();
+        let mut tasks = LaneTasks::default();
         let hit = Rc::new(RefCell::new(false));
         let h = Rc::clone(&hit);
         tasks.spawn(async move {
@@ -416,7 +287,7 @@ mod tests {
 
     #[test]
     fn completion_parks_and_resumes() {
-        let mut tasks = Tasks::new();
+        let mut tasks = LaneTasks::default();
         let c: Completion<u32> = Completion::new();
         let out = Rc::new(RefCell::new(0u32));
         let (c2, o2) = (c.clone(), Rc::clone(&out));
@@ -435,7 +306,7 @@ mod tests {
 
     #[test]
     fn fulfil_before_wait_is_immediate() {
-        let mut tasks = Tasks::new();
+        let mut tasks = LaneTasks::default();
         let c: Completion<&str> = Completion::new();
         c.fulfil("early");
         let out = Rc::new(RefCell::new(""));
@@ -450,7 +321,7 @@ mod tests {
 
     #[test]
     fn many_tasks_fifo_deterministic() {
-        let mut tasks = Tasks::new();
+        let mut tasks = LaneTasks::default();
         let log = Rc::new(RefCell::new(Vec::new()));
         for i in 0..10 {
             let l = Rc::clone(&log);
@@ -464,7 +335,7 @@ mod tests {
 
     #[test]
     fn yield_now_interleaves() {
-        let mut tasks = Tasks::new();
+        let mut tasks = LaneTasks::default();
         let log = Rc::new(RefCell::new(Vec::new()));
         for name in ["a", "b"] {
             let l = Rc::clone(&log);
@@ -482,7 +353,7 @@ mod tests {
     fn fulfilling_a_dropped_waiter_is_harmless() {
         // A task may abandon a Completion (e.g. an irecv it never waits
         // on); the simulator still fulfils it later.
-        let mut tasks = Tasks::new();
+        let mut tasks = LaneTasks::default();
         let c: Completion<u32> = Completion::new();
         let c2 = c.clone();
         tasks.spawn(async move {
@@ -496,7 +367,7 @@ mod tests {
 
     #[test]
     fn wake_after_completion_is_ignored() {
-        let mut tasks = Tasks::new();
+        let mut tasks = LaneTasks::default();
         let c: Completion<()> = Completion::new();
         let c2 = c.clone();
         let id = tasks.spawn(async move {
@@ -514,7 +385,7 @@ mod tests {
     #[test]
     fn thousands_of_tasks() {
         // The Delta needs 528; make sure an order of magnitude more is fine.
-        let mut tasks = Tasks::new();
+        let mut tasks = LaneTasks::default();
         let done = Rc::new(RefCell::new(0usize));
         let gate: Completion<()> = Completion::new();
         for _ in 0..5000 {
@@ -536,7 +407,7 @@ mod tests {
 
     #[test]
     fn abort_drops_a_parked_task() {
-        let mut tasks = Tasks::new();
+        let mut tasks = LaneTasks::default();
         let c: Completion<()> = Completion::new();
         let c2 = c.clone();
         let out = Rc::new(RefCell::new(false));
@@ -560,7 +431,7 @@ mod tests {
         // A freshly spawned task's id sits in the ready queue; aborting
         // it must remove the stale id so the queue is truly empty and a
         // later pass never polls a dead slot.
-        let mut tasks = Tasks::new();
+        let mut tasks = LaneTasks::default();
         let keep = tasks.spawn(async {});
         let id = tasks.spawn(async {
             panic!("aborted task must never run");
@@ -573,37 +444,8 @@ mod tests {
     }
 
     #[test]
-    fn lane_tasks_execution_order_matches_tasks() {
-        // The lane executor must replay the legacy executor's exact FIFO
-        // interleaving — that equivalence is what keeps a 1-lane sharded
-        // run bit-identical to the legacy engine.
-        let prog = |name: &'static str, l: Rc<RefCell<Vec<String>>>| async move {
-            l.borrow_mut().push(format!("{name}1"));
-            yield_now().await;
-            l.borrow_mut().push(format!("{name}2"));
-            yield_now().await;
-            l.borrow_mut().push(format!("{name}3"));
-        };
-        let log_a = Rc::new(RefCell::new(Vec::new()));
-        let mut legacy = Tasks::new();
-        for name in ["a", "b", "c"] {
-            legacy.spawn(prog(name, Rc::clone(&log_a)));
-        }
-        legacy.run_ready();
-        let log_b = Rc::new(RefCell::new(Vec::new()));
-        let mut lane = LaneTasks::new();
-        for name in ["a", "b", "c"] {
-            lane.spawn(prog(name, Rc::clone(&log_b)));
-        }
-        lane.run_ready();
-        assert_eq!(*log_a.borrow(), *log_b.borrow());
-        assert_eq!(legacy.polls(), lane.polls());
-        assert!(legacy.all_done() && lane.all_done());
-    }
-
-    #[test]
     fn lane_tasks_abort_and_completion() {
-        let mut lane = LaneTasks::new();
+        let mut lane = LaneTasks::default();
         let c: Completion<u32> = Completion::new();
         let out = Rc::new(RefCell::new(0u32));
         let (c2, o2) = (c.clone(), Rc::clone(&out));
@@ -632,7 +474,7 @@ mod tests {
     fn chained_completions() {
         // Task A fulfils task B's completion: wake during run_ready drains
         // in the same call.
-        let mut tasks = Tasks::new();
+        let mut tasks = LaneTasks::default();
         let c1: Completion<u32> = Completion::new();
         let c2: Completion<u32> = Completion::new();
         let out = Rc::new(RefCell::new(0));

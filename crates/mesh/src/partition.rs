@@ -224,7 +224,7 @@ impl LaneMap {
         LaneMap { starts }
     }
 
-    /// Single-lane map (the legacy engine's view of the machine).
+    /// Single-lane map: every node on lane 0.
     pub fn single(topo: &Topology) -> LaneMap {
         LaneMap::new(topo, 1)
     }

@@ -1,10 +1,11 @@
-//! Conservative window-synchronized parallel DES: the lane runtime.
+//! Conservative window-synchronized parallel DES: the lane runtime, and
+//! the only event-dispatch loop of the mesh simulator.
 //!
 //! The machine is split into contiguous node blocks ("lanes", one per
 //! group of mesh rows — [`LaneMap`]). Each lane owns an event calendar,
-//! an executor ([`LaneTasks`]) and the futures of its node programs, so
-//! within a lane the simulation is exactly the legacy engine. Lanes are
-//! synchronized with the classic bounded-lag (CMB/YAWNS-style) rule:
+//! an executor ([`LaneTasks`]) and the futures of its node programs.
+//! Lanes are synchronized with the classic bounded-lag (CMB/YAWNS-style)
+//! rule:
 //!
 //! 1. `T` = minimum next-event time across all lanes,
 //! 2. every lane processes its local events in `[T, T + L)` where `L`
@@ -15,6 +16,13 @@
 //! 3. cross-lane messages buffered during the window are exchanged
 //!    through a per-(destination, source) mailbox and scheduled into the
 //!    destination calendars, and the next window begins.
+//!
+//! A single-lane run ([`crate::sim::Machine::run`] and every other entry
+//! point at one lane) has no peer to wait for, so its window is
+//! unbounded: it drains its calendar in one window, in time order with
+//! FIFO tie-breaking, until every program has finished. Only a
+//! single-lane run carries the caller's recorder; multi-lane runs are
+//! unrecorded.
 //!
 //! ## Determinism contract
 //!
@@ -49,16 +57,16 @@ use crate::sim::{Counters, Event, Msg, Node, RunReport, ShardState, SimCore};
 use crate::topology::Topology;
 use des::faults::{FaultKind, FaultPlan};
 use des::time::{Dur, SimTime};
-use des::{LaneTasks, TaskId};
-use hpcc_trace::NullRecorder;
+use des::{EventQueue, LaneTasks, TaskId};
+use hpcc_trace::{names, NullRecorder, Recorder, TrackId};
 use std::cell::RefCell;
 use std::future::Future;
 use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum LaneMode {
     /// All lanes round-robin on the calling thread. Deterministic and
     /// barrier-free; the right choice on a single-CPU host where OS
@@ -68,27 +76,34 @@ enum LaneMode {
     Threads,
 }
 
-fn pick_mode() -> LaneMode {
-    match std::env::var("HPCC_LANE_MODE").as_deref() {
-        Ok("inline") => return LaneMode::Inline,
-        Ok("threads") => return LaneMode::Threads,
-        _ => {}
+/// The lane mode for an `HPCC_LANE_MODE` value (`None` = unset) on a
+/// host with `cores` CPUs: threads when there is more than one CPU,
+/// unless the variable says otherwise. Any value other than `inline`
+/// or `threads` panics — a silent fallback would let a typo measure
+/// the wrong mode.
+fn lane_mode(var: Option<&str>, cores: usize) -> LaneMode {
+    match var {
+        Some("inline") => LaneMode::Inline,
+        Some("threads") => LaneMode::Threads,
+        Some(other) => panic!("HPCC_LANE_MODE={other:?}: expected \"inline\" or \"threads\""),
+        None if cores > 1 => LaneMode::Threads,
+        None => LaneMode::Inline,
     }
+}
+
+fn pick_mode() -> LaneMode {
+    let var = std::env::var_os("HPCC_LANE_MODE").map(|v| v.to_string_lossy().into_owned());
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    if cores > 1 {
-        LaneMode::Threads
-    } else {
-        LaneMode::Inline
-    }
+    lane_mode(var.as_deref(), cores)
 }
 
 /// First crash instant per node (`SimTime::MAX` = never). Crashes are
 /// fail-stop and scripted, so the schedule is known before the run
 /// starts — this is what lets a lane answer "is that remote node dead?"
 /// without asking the lane that owns it.
-fn crash_times(n: usize, plan: &FaultPlan) -> std::sync::Arc<[SimTime]> {
+fn crash_times(n: usize, plan: &FaultPlan) -> Arc<[SimTime]> {
     let mut t = vec![SimTime::MAX; n];
     for e in plan.events() {
         if let FaultKind::NodeCrash { node } = e.kind {
@@ -124,7 +139,7 @@ struct Shared {
     /// `src`'s send order. Sharded mutexes — no two writers contend on
     /// a slot, and readers drain after the barrier.
     mail: Vec<Vec<MailSlot>>,
-    /// Each lane's next local event time (`u64::MAX` = empty calendar).
+    /// Each lane's next local event time (`u64::MAX` = nothing pending).
     next: Vec<AtomicU64>,
     /// Each lane's count of unfinished node programs.
     live: Vec<AtomicUsize>,
@@ -159,33 +174,14 @@ impl Shared {
 
 /// What every lane decides (identically) at a window boundary.
 enum Decision {
-    /// Process local events strictly below this horizon.
+    /// Process local events strictly below this horizon (`SimTime::MAX`:
+    /// every event).
     Run(SimTime),
     /// Calendars are empty but programs survive a faulted run: abort
     /// them as orphans and finish.
     Orphans,
     Done,
     Deadlock,
-}
-
-fn decide(shared: &Shared, lookahead: Dur) -> Decision {
-    let t = shared
-        .next
-        .iter()
-        .map(|a| a.load(Ordering::SeqCst))
-        .min()
-        .expect("at least one lane");
-    if t != u64::MAX {
-        return Decision::Run(SimTime(t) + lookahead);
-    }
-    let live: usize = shared.live.iter().map(|a| a.load(Ordering::SeqCst)).sum();
-    if live == 0 {
-        Decision::Done
-    } else if shared.faulted.load(Ordering::SeqCst) {
-        Decision::Orphans
-    } else {
-        Decision::Deadlock
-    }
 }
 
 fn deadlock_panic(machine: &str, live: usize, stuck: &[String]) -> ! {
@@ -195,7 +191,240 @@ fn deadlock_panic(machine: &str, live: usize, stuck: &[String]) -> ! {
     )
 }
 
-/// One lane: a shard-configured [`SimCore`], its executor, and the task
+/// What every lane of one run shares, read-only apart from the
+/// window-boundary state in [`Shared`].
+struct RunCtx<'a> {
+    cfg: &'a MachineConfig,
+    plan: &'a FaultPlan,
+    map: LaneMap,
+    crash: Arc<[SimTime]>,
+    link_owner: Vec<usize>,
+    /// Window width: the network's cross-lane lookahead, or unbounded
+    /// for a lone lane, which has no peer to wait for.
+    lookahead: Dur,
+    shared: Shared,
+}
+
+impl<'a> RunCtx<'a> {
+    fn new(cfg: &'a MachineConfig, lanes: usize, plan: &'a FaultPlan) -> RunCtx<'a> {
+        let map = LaneMap::new(&cfg.topology, lanes);
+        let lookahead = if map.lanes() > 1 {
+            cfg.net.lookahead()
+        } else {
+            Dur(u64::MAX)
+        };
+        let link_owner = if plan
+            .events()
+            .iter()
+            .any(|e| matches!(e.kind, FaultKind::LinkDown { .. }))
+        {
+            link_owners(&cfg.topology, &map)
+        } else {
+            Vec::new()
+        };
+        RunCtx {
+            cfg,
+            plan,
+            crash: crash_times(cfg.nodes(), plan),
+            link_owner,
+            lookahead,
+            shared: Shared::new(map.lanes()),
+            map,
+        }
+    }
+
+    fn lanes(&self) -> usize {
+        self.map.lanes()
+    }
+
+    fn decide(&self) -> Decision {
+        let shared = &self.shared;
+        let t = shared
+            .next
+            .iter()
+            .map(|a| a.load(Ordering::SeqCst))
+            .min()
+            .expect("at least one lane");
+        if t != u64::MAX {
+            return Decision::Run(SimTime(t) + self.lookahead);
+        }
+        let live: usize = shared.live.iter().map(|a| a.load(Ordering::SeqCst)).sum();
+        if live == 0 {
+            Decision::Done
+        } else if shared.faulted.load(Ordering::SeqCst) {
+            Decision::Orphans
+        } else {
+            Decision::Deadlock
+        }
+    }
+
+    /// Build lane `lane`: its core (on `cfg`, recording into `rec`), its
+    /// share of the fault plan, and one spawned task per owned node,
+    /// run up to their first suspension.
+    fn setup<T, F, Fut>(
+        &self,
+        lane: usize,
+        cfg: Rc<MachineConfig>,
+        rec: Rc<dyn Recorder>,
+        program: &F,
+    ) -> Lane<T>
+    where
+        T: 'static,
+        F: Fn(Node) -> Fut,
+        Fut: Future<Output = T> + 'static,
+    {
+        let n = self.cfg.nodes();
+        let nlinks = self.cfg.topology.links();
+        let range = self.map.range(lane);
+        // Registered ahead of the core's tracks: a recorded run's
+        // tracks are the executor, then every node, then every channel.
+        let sampler = rec.is_enabled().then(|| Sampler {
+            track: rec.track(names::DES, "executor"),
+            rec: Rc::clone(&rec),
+            dispatches: 0,
+        });
+        let shard = ShardState {
+            map: self.map.clone(),
+            owned: range.clone(),
+            crash_time: Arc::clone(&self.crash),
+            outbox: Vec::new(),
+        };
+        let core = Rc::new(RefCell::new(SimCore::for_lane(cfg, rec, shard)));
+        let mut tasks = LaneTasks::with_capacity(range.len());
+        let results: Rc<RefCell<Vec<Option<T>>>> =
+            Rc::new(RefCell::new((0..range.len()).map(|_| None).collect()));
+
+        // This lane's share of the fault plan: node faults by owner
+        // lane, link faults by the channel's source-node lane. Faults at
+        // t=0 take effect before any program instruction runs (the
+        // machine was already broken at boot); later ones become
+        // calendar events racing the programs.
+        let mut boot = Vec::new();
+        {
+            let mut c = core.borrow_mut();
+            for e in self.plan.events() {
+                let owner = match e.kind {
+                    FaultKind::NodeCrash { node } | FaultKind::NodeSlow { node, .. } => {
+                        assert!(node < n, "fault plan targets node {node} of {n}");
+                        self.map.lane_of(node)
+                    }
+                    FaultKind::LinkDown { link, .. } => {
+                        assert!(link < nlinks, "fault plan targets link {link} of {nlinks}");
+                        self.link_owner[link]
+                    }
+                };
+                if owner != lane {
+                    continue;
+                }
+                if e.at == SimTime::ZERO {
+                    if let Some(node) = c.apply_fault(e.kind) {
+                        boot.push(node);
+                    }
+                } else {
+                    c.q.schedule(e.at, Event::Fault(e.kind));
+                }
+            }
+        }
+
+        let mut task_of = Vec::with_capacity(range.len());
+        for rank in range.clone() {
+            let node = Node::new_in(Rc::clone(&core), rank, n);
+            let fut = program(node);
+            let sink = Rc::clone(&results);
+            let slot = rank - range.start;
+            task_of.push(tasks.spawn(async move {
+                let out = fut.await;
+                sink.borrow_mut()[slot] = Some(out);
+            }));
+        }
+        for node in boot {
+            tasks.abort(task_of[node - range.start]);
+        }
+        tasks.run_ready();
+        Lane {
+            lane,
+            range,
+            core,
+            tasks,
+            task_of,
+            results,
+            sampler,
+        }
+    }
+
+    /// Merge the lanes' outcomes into per-node results, the machine-wide
+    /// report and the lane diagnostics.
+    fn finish<T>(self, outs: Vec<LaneOut<T>>) -> (Vec<Option<T>>, RunReport, LaneStats) {
+        let cfg = self.cfg;
+        let n = cfg.nodes();
+        let nlinks = cfg.topology.links();
+        let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        let mut counters = Counters::default();
+        let mut end = SimTime::ZERO;
+        let mut per_lane_events = Vec::with_capacity(outs.len());
+        for out in outs {
+            let start = out.range.start;
+            for (i, r) in out.results.into_iter().enumerate() {
+                results[start + i] = r;
+            }
+            counters.absorb(&out.counters);
+            end = end.max(out.now);
+            per_lane_events.push(out.events);
+        }
+        let events = per_lane_events.iter().sum();
+        let elapsed = end - SimTime::ZERO;
+        let denom = elapsed.as_secs_f64().max(1e-30);
+        let report = RunReport {
+            machine: cfg.name.clone(),
+            nodes: n,
+            elapsed,
+            messages: counters.messages,
+            bytes: counters.bytes,
+            flops: counters.flops,
+            events,
+            compute_fraction: counters.compute_time.as_secs_f64() / (n as f64 * denom),
+            link_utilization: counters.link_busy.as_secs_f64() / (nlinks.max(1) as f64 * denom),
+            unexpected_messages: counters.unexpected,
+            faults: counters.faults,
+        };
+        let stats = LaneStats {
+            lanes: self.lanes(),
+            rounds: self.shared.rounds.load(Ordering::Relaxed),
+            events,
+            mail_msgs: self.shared.mail_msgs.load(Ordering::Relaxed),
+            per_lane_events,
+        };
+        (results, report, stats)
+    }
+}
+
+/// Executor and event-queue depth sampled onto the recorder's
+/// `des`/`executor` track every [`Sampler::EVERY`] dispatches —
+/// frequent enough to see backlog build up, sparse enough not to
+/// dominate the trace.
+struct Sampler {
+    rec: Rc<dyn Recorder>,
+    track: TrackId,
+    dispatches: u64,
+}
+
+impl Sampler {
+    const EVERY: u64 = 64;
+
+    fn tick(&mut self, q: &EventQueue<Event>, tasks: &LaneTasks) {
+        self.dispatches += 1;
+        if self.dispatches.is_multiple_of(Self::EVERY) {
+            let ts = q.now().nanos();
+            let rec = &self.rec;
+            rec.counter(self.track, "event_queue_depth", ts, q.len() as f64);
+            rec.counter(self.track, "ready_tasks", ts, tasks.ready_len() as f64);
+            rec.counter(self.track, "live_tasks", ts, tasks.live() as f64);
+            rec.counter(self.track, "task_polls", ts, tasks.polls() as f64);
+        }
+    }
+}
+
+/// One lane: a lane-configured [`SimCore`], its executor, and the task
 /// handles of the node programs it owns.
 struct Lane<T> {
     lane: usize,
@@ -204,105 +433,27 @@ struct Lane<T> {
     tasks: LaneTasks,
     task_of: Vec<TaskId>,
     results: Rc<RefCell<Vec<Option<T>>>>,
-}
-
-fn setup<T, F, Fut>(
-    cfg: &MachineConfig,
-    map: &LaneMap,
-    crash: &std::sync::Arc<[SimTime]>,
-    link_owner: &[usize],
-    plan: &FaultPlan,
-    lane: usize,
-    program: &F,
-) -> Lane<T>
-where
-    T: 'static,
-    F: Fn(Node) -> Fut,
-    Fut: Future<Output = T> + 'static,
-{
-    let n = cfg.nodes();
-    let nlinks = cfg.topology.links();
-    let range = map.range(lane);
-    let core = Rc::new(RefCell::new(SimCore::with_queue_capacity(
-        Rc::new(cfg.clone()),
-        Rc::new(NullRecorder),
-        2 * range.len(),
-    )));
-    core.borrow_mut().shard = Some(ShardState {
-        lane,
-        map: map.clone(),
-        crash_time: std::sync::Arc::clone(crash),
-        outbox: Vec::new(),
-    });
-    let mut tasks = LaneTasks::with_capacity(range.len());
-    let results: Rc<RefCell<Vec<Option<T>>>> =
-        Rc::new(RefCell::new((0..range.len()).map(|_| None).collect()));
-
-    // This lane's share of the fault plan: node faults by owner lane,
-    // link faults by the channel's source-node lane. Same boot-time
-    // rule as the legacy engine: t=0 faults apply before any program
-    // instruction runs.
-    let mut boot = Vec::new();
-    {
-        let mut c = core.borrow_mut();
-        for e in plan.events() {
-            let owner = match e.kind {
-                FaultKind::NodeCrash { node } | FaultKind::NodeSlow { node, .. } => {
-                    assert!(node < n, "fault plan targets node {node} of {n}");
-                    map.lane_of(node)
-                }
-                FaultKind::LinkDown { link, .. } => {
-                    assert!(link < nlinks, "fault plan targets link {link} of {nlinks}");
-                    link_owner[link]
-                }
-            };
-            if owner != lane {
-                continue;
-            }
-            if e.at == SimTime::ZERO {
-                if let Some(node) = c.apply_fault(e.kind) {
-                    boot.push(node);
-                }
-            } else {
-                c.q.schedule(e.at, Event::Fault(e.kind));
-            }
-        }
-    }
-
-    let mut task_of = Vec::with_capacity(range.len());
-    for rank in range.clone() {
-        let node = Node::new_in(Rc::clone(&core), rank, n);
-        let fut = program(node);
-        let sink = Rc::clone(&results);
-        let slot = rank - range.start;
-        task_of.push(tasks.spawn(async move {
-            let out = fut.await;
-            sink.borrow_mut()[slot] = Some(out);
-        }));
-    }
-    for node in boot {
-        tasks.abort(task_of[node - range.start]);
-    }
-    tasks.run_ready();
-    Lane {
-        lane,
-        range,
-        core,
-        tasks,
-        task_of,
-        results,
-    }
+    /// Present only when the lane records (a single-lane run with an
+    /// enabled recorder).
+    sampler: Option<Sampler>,
 }
 
 impl<T> Lane<T> {
-    /// Process every local event strictly below `horizon`, running the
-    /// executor after each — the legacy dispatch loop restricted to one
-    /// window. Like the legacy loop, it checks for completion *before*
-    /// each pop: once every program on this lane has finished, leftover
-    /// calendar entries (pending faults, stale timers) are abandoned.
+    /// Process every local event strictly below `horizon`
+    /// (`SimTime::MAX`: every event), running the executor after each.
+    /// Completion is checked *before* each pop: once every program on
+    /// this lane has finished, leftover calendar entries (pending
+    /// faults, stale timers) are abandoned.
     fn process_window(&mut self, horizon: SimTime) {
         while !self.tasks.all_done() {
-            let ev = self.core.borrow_mut().q.pop_before(horizon);
+            let ev = {
+                let mut core = self.core.borrow_mut();
+                if horizon == SimTime::MAX {
+                    core.q.pop()
+                } else {
+                    core.q.pop_before(horizon)
+                }
+            };
             let Some((_, ev)) = ev else { break };
             match ev {
                 Event::Deliver { dst, msg } => self.core.borrow_mut().deliver(dst, msg),
@@ -318,6 +469,9 @@ impl<T> Lane<T> {
                     self.core.borrow_mut().deadline(dst, token, after);
                 }
             }
+            if let Some(s) = &mut self.sampler {
+                s.tick(&self.core.borrow().q, &self.tasks);
+            }
             self.tasks.run_ready();
         }
     }
@@ -325,7 +479,7 @@ impl<T> Lane<T> {
     /// Hand this window's cross-lane sends to their destination slots.
     fn flush(&mut self, shared: &Shared) {
         let mut core = self.core.borrow_mut();
-        let sh = core.shard.as_mut().expect("lane core is sharded");
+        let sh = &mut core.shard;
         if sh.outbox.is_empty() {
             return;
         }
@@ -358,14 +512,17 @@ impl<T> Lane<T> {
     fn publish(&self, shared: &Shared) {
         let core = self.core.borrow();
         // A finished lane reports an empty calendar even if events are
-        // still queued — the legacy engine stops dispatching the moment
-        // its last task completes, and the abandoned events must not
-        // keep dragging the global horizon (or the elapsed clock)
-        // forward.
+        // still queued — dispatch stops the moment its last task
+        // completes, and the abandoned events must not keep dragging
+        // the global horizon (or the elapsed clock) forward. An event
+        // at the end of time is published one tick early so it does not
+        // read as the empty sentinel; the window it opens is unbounded.
         let next = if self.tasks.all_done() {
             u64::MAX
         } else {
-            core.q.peek_time().map_or(u64::MAX, |t| t.0)
+            core.q
+                .peek_time()
+                .map_or(u64::MAX, |t| t.0.min(u64::MAX - 1))
         };
         shared.next[self.lane].store(next, Ordering::SeqCst);
         shared.live[self.lane].store(self.tasks.live(), Ordering::SeqCst);
@@ -385,6 +542,23 @@ impl<T> Lane<T> {
         self.core.borrow_mut().counters.faults.orphaned_tasks += orphans;
     }
 
+    fn into_out(self) -> LaneOut<T> {
+        // Drop the executor first: completed/aborted futures are gone, so
+        // the result sink is uniquely held again.
+        drop(self.tasks);
+        let results = Rc::try_unwrap(self.results)
+            .unwrap_or_else(|_| unreachable!("lane tasks done"))
+            .into_inner();
+        let core = self.core.borrow();
+        LaneOut {
+            range: self.range,
+            results,
+            counters: core.counters.clone(),
+            now: core.q.now(),
+            events: core.q.events_processed(),
+        }
+    }
+
     fn stuck_report(&self) -> Vec<String> {
         self.core
             .borrow()
@@ -396,7 +570,7 @@ impl<T> Lane<T> {
     }
 }
 
-/// Per-lane scalar outcome, merged by [`assemble`].
+/// Per-lane scalar outcome, merged by [`RunCtx::finish`].
 struct LaneOut<T> {
     range: Range<usize>,
     results: Vec<Option<T>>,
@@ -405,70 +579,17 @@ struct LaneOut<T> {
     events: u64,
 }
 
-fn finish<T>(lane: Lane<T>) -> LaneOut<T> {
-    // Drop the executor first: completed/aborted futures are gone, so
-    // the lane core and result sink are uniquely held again.
-    drop(lane.tasks);
-    let core = Rc::try_unwrap(lane.core)
-        .unwrap_or_else(|_| unreachable!("lane tasks done"))
-        .into_inner();
-    let results = Rc::try_unwrap(lane.results)
-        .unwrap_or_else(|_| unreachable!("lane tasks done"))
-        .into_inner();
-    LaneOut {
-        range: lane.range,
-        results,
-        counters: core.counters.clone(),
-        now: core.q.now(),
-        events: core.q.events_processed(),
-    }
-}
-
-fn assemble<T>(cfg: &MachineConfig, outs: Vec<LaneOut<T>>) -> (Vec<Option<T>>, RunReport) {
-    let n = cfg.nodes();
-    let nlinks = cfg.topology.links();
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut counters = Counters::default();
-    let mut end = SimTime::ZERO;
-    let mut events = 0u64;
-    for out in outs {
-        let start = out.range.start;
-        for (i, r) in out.results.into_iter().enumerate() {
-            results[start + i] = r;
-        }
-        counters.absorb(&out.counters);
-        end = end.max(out.now);
-        events += out.events;
-    }
-    let elapsed = end - SimTime::ZERO;
-    let denom = elapsed.as_secs_f64().max(1e-30);
-    let report = RunReport {
-        machine: cfg.name.clone(),
-        nodes: n,
-        elapsed,
-        messages: counters.messages,
-        bytes: counters.bytes,
-        flops: counters.flops,
-        events,
-        compute_fraction: counters.compute_time.as_secs_f64() / (n as f64 * denom),
-        link_utilization: counters.link_busy.as_secs_f64() / (nlinks.max(1) as f64 * denom),
-        unexpected_messages: counters.unexpected,
-        faults: counters.faults,
-    };
-    (results, report)
-}
-
-/// Lane-runtime diagnostics for one sharded run: window count, event
-/// throughput per lane, and cross-lane mailbox traffic. This is the
-/// `HPCC_LANE_STATS` diagnostic promoted to a first-class value —
-/// returned by [`crate::sim::Machine::run_sharded_stats`] and exportable
-/// as [`hpcc_trace::names::DES_LANES`] track counters via
+/// Lane-runtime diagnostics for one run: window count, event
+/// throughput per lane, and cross-lane mailbox traffic — returned by
+/// [`crate::sim::Machine::run_sharded_stats`] and exportable as
+/// [`hpcc_trace::names::DES_LANES`] track counters via
 /// [`LaneStats::emit`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneStats {
-    /// Lanes the machine was split into (1 = legacy single-queue run).
+    /// Lanes the machine was split into (1 = every node on one lane).
     pub lanes: usize,
-    /// Synchronization windows executed (0 on the legacy engine).
+    /// Synchronization windows executed. A single-lane run has one
+    /// unbounded window (none if no event was ever pending).
     pub rounds: u64,
     /// Events processed, summed over lanes.
     pub events: u64,
@@ -506,10 +627,32 @@ impl LaneStats {
     }
 }
 
-/// Entry point used by [`crate::sim::Machine`]: run `program` on every
-/// node across `lanes` event-engine shards.
+/// A single-lane run: every node on one lane with one unbounded window,
+/// recording into `rec`. Used by [`crate::sim::Machine::run_recorded`]
+/// and everything that routes through it; it has no `Send`/`Sync`
+/// bounds because nothing leaves the calling thread.
+pub(crate) fn run_one<T, F, Fut>(
+    cfg: &Rc<MachineConfig>,
+    plan: &FaultPlan,
+    rec: Rc<dyn Recorder>,
+    program: &F,
+) -> (Vec<Option<T>>, RunReport, LaneStats)
+where
+    T: 'static,
+    F: Fn(Node) -> Fut,
+    Fut: Future<Output = T> + 'static,
+{
+    let ctx = RunCtx::new(cfg, 1, plan);
+    let outs = run_inline(&ctx, Rc::clone(cfg), rec, program);
+    ctx.finish(outs)
+}
+
+/// Entry point used by [`crate::sim::Machine::run_sharded_stats`]: run
+/// `program` on every node across `lanes` unrecorded lanes, on threads
+/// or inline ([`pick_mode`]). One lane is [`run_one`] without a
+/// recorder.
 pub(crate) fn run<T, F, Fut>(
-    cfg: &MachineConfig,
+    cfg: &Rc<MachineConfig>,
     lanes: usize,
     plan: &FaultPlan,
     program: &F,
@@ -519,80 +662,21 @@ where
     F: Fn(Node) -> Fut + Sync,
     Fut: Future<Output = T> + 'static,
 {
-    let map = LaneMap::new(&cfg.topology, lanes);
-    let lanes = map.lanes();
-    let lookahead = cfg.net.lookahead();
-    let crash = crash_times(cfg.nodes(), plan);
-    let link_owner = if plan
-        .events()
-        .iter()
-        .any(|e| matches!(e.kind, FaultKind::LinkDown { .. }))
-    {
-        link_owners(&cfg.topology, &map)
+    let ctx = RunCtx::new(cfg, lanes, plan);
+    let outs = if ctx.lanes() > 1 && pick_mode() == LaneMode::Threads {
+        run_threads(&ctx, program)
     } else {
-        Vec::new()
+        run_inline(&ctx, Rc::clone(cfg), Rc::new(NullRecorder), program)
     };
-    let shared = Shared::new(lanes);
-    let mode = if lanes > 1 {
-        pick_mode()
-    } else {
-        LaneMode::Inline
-    };
-    let outs = match mode {
-        LaneMode::Inline => run_inline(
-            cfg,
-            &map,
-            &crash,
-            &link_owner,
-            plan,
-            lanes,
-            lookahead,
-            &shared,
-            program,
-        ),
-        LaneMode::Threads => run_threads(
-            cfg,
-            &map,
-            &crash,
-            &link_owner,
-            plan,
-            lanes,
-            lookahead,
-            &shared,
-            program,
-        ),
-    };
-    let stats = LaneStats {
-        lanes,
-        rounds: shared.rounds.load(Ordering::Relaxed),
-        events: outs.iter().map(|o| o.events).sum(),
-        mail_msgs: shared.mail_msgs.load(Ordering::Relaxed),
-        per_lane_events: outs.iter().map(|o| o.events).collect(),
-    };
-    if std::env::var("HPCC_LANE_STATS").is_ok() {
-        eprintln!(
-            "[lane-stats] lanes={} rounds={} events={} mail={} ev/round={:.1}",
-            stats.lanes,
-            stats.rounds,
-            stats.events,
-            stats.mail_msgs,
-            stats.events_per_round()
-        );
-    }
-    let (results, report) = assemble(cfg, outs);
-    (results, report, stats)
+    ctx.finish(outs)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// All lanes round-robin on the calling thread, sharing one config and
+/// one recorder.
 fn run_inline<T, F, Fut>(
-    cfg: &MachineConfig,
-    map: &LaneMap,
-    crash: &std::sync::Arc<[SimTime]>,
-    link_owner: &[usize],
-    plan: &FaultPlan,
-    lanes: usize,
-    lookahead: Dur,
-    shared: &Shared,
+    ctx: &RunCtx,
+    cfg: Rc<MachineConfig>,
+    rec: Rc<dyn Recorder>,
     program: &F,
 ) -> Vec<LaneOut<T>>
 where
@@ -600,8 +684,9 @@ where
     F: Fn(Node) -> Fut,
     Fut: Future<Output = T> + 'static,
 {
-    let mut ls: Vec<Lane<T>> = (0..lanes)
-        .map(|l| setup(cfg, map, crash, link_owner, plan, l, program))
+    let shared = &ctx.shared;
+    let mut ls: Vec<Lane<T>> = (0..ctx.lanes())
+        .map(|l| ctx.setup(l, Rc::clone(&cfg), Rc::clone(&rec), program))
         .collect();
     for l in &mut ls {
         l.flush(shared);
@@ -611,12 +696,12 @@ where
         l.publish(shared);
     }
     loop {
-        match decide(shared, lookahead) {
+        match ctx.decide() {
             Decision::Done => break,
             Decision::Deadlock => {
                 let stuck: Vec<String> = ls.iter().flat_map(|l| l.stuck_report()).collect();
                 let live = ls.iter().map(|l| l.tasks.live()).sum();
-                deadlock_panic(&cfg.name, live, &stuck);
+                deadlock_panic(&ctx.cfg.name, live, &stuck);
             }
             Decision::Orphans => {
                 for l in &mut ls {
@@ -637,33 +722,26 @@ where
             }
         }
     }
-    ls.into_iter().map(finish).collect()
+    ls.into_iter().map(Lane::into_out).collect()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_threads<T, F, Fut>(
-    cfg: &MachineConfig,
-    map: &LaneMap,
-    crash: &std::sync::Arc<[SimTime]>,
-    link_owner: &[usize],
-    plan: &FaultPlan,
-    lanes: usize,
-    lookahead: Dur,
-    shared: &Shared,
-    program: &F,
-) -> Vec<LaneOut<T>>
+/// One OS thread per lane. Each thread builds its own lane (`Rc` state
+/// never crosses threads) on a private copy of the config.
+fn run_threads<T, F, Fut>(ctx: &RunCtx, program: &F) -> Vec<LaneOut<T>>
 where
     T: Send + 'static,
     F: Fn(Node) -> Fut + Sync,
     Fut: Future<Output = T> + 'static,
 {
-    let barrier = Barrier::new(lanes);
+    let shared = &ctx.shared;
+    let barrier = Barrier::new(ctx.lanes());
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..lanes)
+        let handles: Vec<_> = (0..ctx.lanes())
             .map(|lane| {
-                let (barrier, shared, link_owner) = (&barrier, shared, link_owner);
+                let barrier = &barrier;
                 s.spawn(move || {
-                    let mut l: Lane<T> = setup(cfg, map, crash, link_owner, plan, lane, program);
+                    let cfg = Rc::new(ctx.cfg.clone());
+                    let mut l: Lane<T> = ctx.setup(lane, cfg, Rc::new(NullRecorder), program);
                     // Round structure: work -> flush -> barrier ->
                     // drain + publish -> barrier -> decide. Writes to
                     // `shared` happen strictly between the two barriers,
@@ -675,7 +753,7 @@ where
                     l.publish(shared);
                     barrier.wait();
                     loop {
-                        match decide(shared, lookahead) {
+                        match ctx.decide() {
                             Decision::Done => break,
                             Decision::Deadlock => {
                                 shared
@@ -689,7 +767,7 @@ where
                                         std::mem::take(&mut *shared.stuck.lock().expect("stuck"));
                                     let live =
                                         shared.live.iter().map(|a| a.load(Ordering::SeqCst)).sum();
-                                    deadlock_panic(&cfg.name, live, &stuck);
+                                    deadlock_panic(&ctx.cfg.name, live, &stuck);
                                 }
                                 break;
                             }
@@ -712,7 +790,7 @@ where
                             }
                         }
                     }
-                    finish(l)
+                    l.into_out()
                 })
             })
             .collect();
@@ -724,4 +802,23 @@ where
             })
             .collect()
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lane_mode_follows_the_variable_then_the_core_count() {
+        assert_eq!(lane_mode(Some("inline"), 8), LaneMode::Inline);
+        assert_eq!(lane_mode(Some("threads"), 1), LaneMode::Threads);
+        assert_eq!(lane_mode(None, 2), LaneMode::Threads);
+        assert_eq!(lane_mode(None, 1), LaneMode::Inline);
+    }
+
+    #[test]
+    #[should_panic(expected = "HPCC_LANE_MODE=\"thread\": expected \"inline\" or \"threads\"")]
+    fn lane_mode_rejects_a_typo() {
+        lane_mode(Some("thread"), 2);
+    }
 }

@@ -27,12 +27,13 @@ use bytes::Bytes;
 use des::backoff::{mix64, Backoff};
 use des::faults::{FaultKind, FaultPlan};
 use des::time::{Dur, SimTime};
-use des::{Completion, EventQueue, Tasks};
+use des::{Completion, EventQueue};
 use hpcc_trace::{names, NullRecorder, Recorder, TrackId};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -234,21 +235,29 @@ impl Counters {
     }
 }
 
-/// Per-lane view of the machine held by the sharded runtime. A lane owns
+/// Per-lane view of the machine held by the lane runtime. A lane owns
 /// a contiguous block of node ids ([`LaneMap`]); messages between two
 /// nodes of the same lane go through the full link-occupancy model,
 /// messages to another lane are timed analytically (contention-free) and
-/// handed over through the lane mailbox at the end of the window.
+/// handed over through the lane mailbox at the end of the window. A
+/// single-lane run owns every node, so all of its traffic is local.
 pub(crate) struct ShardState {
-    /// This core's lane index.
-    pub(crate) lane: usize,
     pub(crate) map: LaneMap,
+    /// Node ids this lane owns: `map.range(lane)`.
+    pub(crate) owned: Range<usize>,
     /// First crash instant per node (`SimTime::MAX` = never), precomputed
     /// from the fault plan so remote-failure checks need no shared state.
     pub(crate) crash_time: Arc<[SimTime]>,
     /// Cross-lane messages generated this window, in send order. Each
     /// `Msg` already carries its arrival time.
     pub(crate) outbox: Vec<(usize, Msg)>,
+}
+
+impl ShardState {
+    #[inline]
+    fn is_remote(&self, node: usize) -> bool {
+        !self.owned.contains(&node)
+    }
 }
 
 pub(crate) struct SimCore {
@@ -281,28 +290,21 @@ pub(crate) struct SimCore {
     /// Trace track per node rank / per channel (empty when disabled).
     node_track: Vec<TrackId>,
     link_track: Vec<TrackId>,
-    /// `Some` when this core is one lane of a sharded run; `None` for the
-    /// legacy single-queue engine (every pre-existing entry point), which
-    /// keeps the fault-free fast paths untouched.
-    pub(crate) shard: Option<ShardState>,
+    /// The lane this core simulates.
+    pub(crate) shard: ShardState,
 }
 
 impl SimCore {
-    pub(crate) fn new(cfg: Rc<MachineConfig>, rec: Rc<dyn Recorder>) -> SimCore {
-        // Steady state holds at most a wake or delivery per node;
-        // pre-size so the calendar never regrows mid-run.
-        let cap = 2 * cfg.nodes();
-        SimCore::with_queue_capacity(cfg, rec, cap)
-    }
-
-    /// Like [`SimCore::new`] with an explicit calendar pre-size: a lane
-    /// of a sharded run only ever holds events for its own node block,
-    /// so sizing by the whole machine would waste a heap per lane.
-    pub(crate) fn with_queue_capacity(
+    /// The core of one lane. With an enabled recorder it registers a
+    /// trace track per node, then one per channel.
+    pub(crate) fn for_lane(
         cfg: Rc<MachineConfig>,
         rec: Rc<dyn Recorder>,
-        cap: usize,
+        shard: ShardState,
     ) -> SimCore {
+        // Steady state holds at most a wake or delivery per owned node;
+        // pre-size so the calendar never regrows mid-run.
+        let cap = 2 * shard.owned.len();
         let n = cfg.nodes();
         let links = cfg.topology.links();
         let rec_on = rec.is_enabled();
@@ -339,7 +341,7 @@ impl SimCore {
             rec_on,
             node_track,
             link_track,
-            shard: None,
+            shard,
         }
     }
 
@@ -365,10 +367,8 @@ impl SimCore {
         tag: u64,
         payload: Payload,
     ) -> Result<(), CommError> {
-        if let Some(sh) = &self.shard {
-            if sh.map.lane_of(dst) != sh.lane {
-                return self.inject_remote(src, dst, tag, payload);
-            }
+        if self.shard.is_remote(dst) {
+            return self.inject_remote(src, dst, tag, payload);
         }
         let now = self.q.now();
         let bytes = payload.len_bytes();
@@ -499,7 +499,7 @@ impl SimCore {
         let bytes = payload.len_bytes();
         self.counters.messages += 1;
         self.counters.bytes += bytes;
-        let sh = self.shard.as_mut().expect("remote inject on sharded core");
+        let sh = &mut self.shard;
         if sh.crash_time[dst] <= now {
             // Same fail-stop oracle as the local path: the destination is
             // already dead, the message is dropped on the floor.
@@ -787,13 +787,11 @@ impl Node {
     /// oracle: fail-stop faults are detected immediately and reliably.)
     pub fn peer_failed(&self, rank: usize) -> bool {
         let core = self.core.borrow();
-        if let Some(sh) = &core.shard {
-            if sh.map.lane_of(rank) != sh.lane {
-                // A remote peer's fail-stop state is a pure function of
-                // the fault plan and the clock — no cross-lane traffic
-                // needed to answer the oracle deterministically.
-                return sh.crash_time[rank] <= core.q.now();
-            }
+        if core.shard.is_remote(rank) {
+            // A remote peer's fail-stop state is a pure function of the
+            // fault plan and the clock — no cross-lane traffic needed to
+            // answer the oracle deterministically.
+            return core.shard.crash_time[rank] <= core.q.now();
         }
         core.failed[rank]
     }
@@ -1166,6 +1164,10 @@ impl Machine {
     /// of its occupancy windows, faults and retries land as instants,
     /// and the dispatch loop samples event-queue/executor depth onto a
     /// "des" track.
+    ///
+    /// The run is one lane of the lane runtime ([`crate::shard`]) with
+    /// an unbounded window: it owns every node, so no message crosses a
+    /// lane boundary and every message sees the full contention model.
     pub fn run_recorded<T, F, Fut>(
         &self,
         plan: &FaultPlan,
@@ -1177,149 +1179,7 @@ impl Machine {
         F: Fn(Node) -> Fut,
         Fut: Future<Output = T> + 'static,
     {
-        let n = self.cfg.nodes();
-        let nlinks = self.cfg.topology.links();
-        let rec_on = rec.is_enabled();
-        let des_track = if rec_on {
-            rec.track(names::DES, "executor")
-        } else {
-            0
-        };
-        let core = Rc::new(RefCell::new(SimCore::new(
-            Rc::clone(&self.cfg),
-            Rc::clone(&rec),
-        )));
-        let mut tasks = Tasks::new();
-        let results: Rc<RefCell<Vec<Option<T>>>> =
-            Rc::new(RefCell::new((0..n).map(|_| None).collect()));
-
-        // Faults at t=0 take effect before any program instruction runs
-        // (the machine was already broken at boot); later ones become
-        // calendar events racing the programs.
-        let mut boot_crashes = Vec::new();
-        {
-            let mut core = core.borrow_mut();
-            for e in plan.events() {
-                match e.kind {
-                    FaultKind::NodeCrash { node } | FaultKind::NodeSlow { node, .. } => {
-                        assert!(node < n, "fault plan targets node {node} of {n}");
-                    }
-                    FaultKind::LinkDown { link, .. } => {
-                        assert!(link < nlinks, "fault plan targets link {link} of {nlinks}");
-                    }
-                }
-                if e.at == SimTime::ZERO {
-                    if let Some(node) = core.apply_fault(e.kind) {
-                        boot_crashes.push(node);
-                    }
-                } else {
-                    core.q.schedule(e.at, Event::Fault(e.kind));
-                }
-            }
-        }
-
-        let mut task_of_rank = Vec::with_capacity(n);
-        for rank in 0..n {
-            let node = Node {
-                core: Rc::clone(&core),
-                rank,
-                nranks: n,
-            };
-            let fut = program(node);
-            let sink = Rc::clone(&results);
-            task_of_rank.push(tasks.spawn(async move {
-                let out = fut.await;
-                sink.borrow_mut()[rank] = Some(out);
-            }));
-        }
-
-        for node in boot_crashes {
-            tasks.abort(task_of_rank[node]);
-        }
-        tasks.run_ready();
-        // Sample executor/event-queue depth every `SAMPLE_EVERY` dispatch
-        // iterations — frequent enough to see backlog build-up, sparse
-        // enough not to dominate the trace.
-        const SAMPLE_EVERY: u64 = 64;
-        let mut dispatches: u64 = 0;
-        while !tasks.all_done() {
-            let ev = core.borrow_mut().q.pop();
-            match ev {
-                Some((_, Event::Deliver { dst, msg })) => {
-                    core.borrow_mut().deliver(dst, msg);
-                }
-                Some((_, Event::Wake(c))) => c.fulfil(()),
-                Some((_, Event::Fault(kind))) => {
-                    let crashed = core.borrow_mut().apply_fault(kind);
-                    if let Some(node) = crashed {
-                        tasks.abort(task_of_rank[node]);
-                    }
-                }
-                Some((_, Event::LinkUp { link })) => core.borrow_mut().link_up(link),
-                Some((_, Event::RecvDeadline { dst, token, after })) => {
-                    core.borrow_mut().deadline(dst, token, after);
-                }
-                None => {
-                    let mut core = core.borrow_mut();
-                    if core.counters.faults.any() {
-                        // Graceful degradation: survivors blocked forever
-                        // on dead peers are casualties of the fault, not
-                        // a program bug. Abort them and finish the run.
-                        for &task in task_of_rank.iter().take(n) {
-                            if tasks.abort(task) {
-                                core.counters.faults.orphaned_tasks += 1;
-                            }
-                        }
-                        continue;
-                    }
-                    let stuck: Vec<String> = core
-                        .blocked
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(r, b)| b.as_ref().map(|s| format!("  node {r}: {s}")))
-                        .collect();
-                    panic!(
-                        "deadlock on {}: {} tasks parked, no events\n{}",
-                        core.cfg.name,
-                        tasks.live(),
-                        stuck.join("\n")
-                    );
-                }
-            }
-            if rec_on {
-                dispatches += 1;
-                if dispatches.is_multiple_of(SAMPLE_EVERY) {
-                    let c = core.borrow();
-                    let ts = c.q.now().nanos();
-                    rec.counter(des_track, "event_queue_depth", ts, c.q.len() as f64);
-                    rec.counter(des_track, "ready_tasks", ts, tasks.ready_len() as f64);
-                    rec.counter(des_track, "live_tasks", ts, tasks.live() as f64);
-                    rec.counter(des_track, "task_polls", ts, tasks.polls() as f64);
-                }
-            }
-            tasks.run_ready();
-        }
-
-        let core = core.borrow();
-        let elapsed = core.q.now() - SimTime::ZERO;
-        let denom = elapsed.as_secs_f64().max(1e-30);
-        let report = RunReport {
-            machine: core.cfg.name.clone(),
-            nodes: n,
-            elapsed,
-            messages: core.counters.messages,
-            bytes: core.counters.bytes,
-            flops: core.counters.flops,
-            events: core.q.events_processed(),
-            compute_fraction: core.counters.compute_time.as_secs_f64() / (n as f64 * denom),
-            link_utilization: core.counters.link_busy.as_secs_f64()
-                / (nlinks.max(1) as f64 * denom),
-            unexpected_messages: core.counters.unexpected,
-            faults: core.counters.faults,
-        };
-        let results = Rc::try_unwrap(results)
-            .unwrap_or_else(|_| unreachable!("all tasks done"))
-            .into_inner();
+        let (results, report, _stats) = crate::shard::run_one(&self.cfg, plan, rec, &program);
         (results, report)
     }
 
@@ -1329,16 +1189,15 @@ impl Machine {
     /// and executor, synchronized by bounded-lag windows whose width is
     /// the network's cross-lane [`crate::machine::NetModel::lookahead`].
     ///
-    /// `lanes <= 1` (or a machine too small to split) runs on the legacy
-    /// single-queue engine — bit-identical to [`Machine::run`] by
-    /// construction, since it *is* that code path. Multi-lane runs keep
-    /// exact link-occupancy timing inside each lane and time cross-lane
-    /// messages analytically (uncontended), so final results are
-    /// lane-count-invariant for timing-insensitive programs while
+    /// `lanes <= 1` (or a machine too small to split) is the single-lane
+    /// run of [`Machine::run`]: one lane, one unbounded window. Multi-lane
+    /// runs keep exact link-occupancy timing inside each lane and time
+    /// cross-lane messages analytically (uncontended), so final results
+    /// are lane-count-invariant for timing-insensitive programs while
     /// per-event timestamps may differ from the single-lane schedule.
-    /// Lanes execute on threads when the host has more than one CPU,
-    /// inline round-robin otherwise (`HPCC_LANE_MODE=threads|inline`
-    /// overrides).
+    /// Multi-lane runs are unrecorded and execute on threads when the
+    /// host has more than one CPU, inline round-robin otherwise
+    /// (`HPCC_LANE_MODE=threads|inline` overrides).
     pub fn run_sharded<T, F, Fut>(&self, lanes: usize, program: F) -> (Vec<T>, RunReport)
     where
         T: Send + 'static,
@@ -1375,9 +1234,9 @@ impl Machine {
 
     /// [`Machine::run_sharded_with_faults`] plus the lane-runtime
     /// diagnostics ([`crate::shard::LaneStats`]): windows executed,
-    /// per-lane event throughput, cross-lane mailbox traffic. On the
-    /// single-lane (legacy-engine) path the stats degenerate to one lane
-    /// carrying every event with zero windows and zero mailbox traffic.
+    /// per-lane event throughput, cross-lane mailbox traffic. A
+    /// single-lane run reports one lane carrying every event, one window
+    /// and no mailbox traffic.
     pub fn run_sharded_stats<T, F, Fut>(
         &self,
         lanes: usize,
@@ -1389,40 +1248,7 @@ impl Machine {
         F: Fn(Node) -> Fut + Sync,
         Fut: Future<Output = T> + 'static,
     {
-        let lanes = LaneMap::new(&self.cfg.topology, lanes).lanes();
-        if lanes <= 1 {
-            // One lane IS the legacy engine: same code, same bits.
-            let (results, report) = self.run_with_faults(plan, program);
-            let stats = crate::shard::LaneStats {
-                lanes: 1,
-                rounds: 0,
-                events: report.events,
-                mail_msgs: 0,
-                per_lane_events: vec![report.events],
-            };
-            return (results, report, stats);
-        }
         crate::shard::run(&self.cfg, lanes, plan, &program)
-    }
-
-    /// Test hook: force the window runtime even at one lane, where its
-    /// event order must reproduce the legacy engine exactly. Not part of
-    /// the public API contract.
-    #[doc(hidden)]
-    pub fn run_windowed_exact<T, F, Fut>(
-        &self,
-        lanes: usize,
-        plan: &FaultPlan,
-        program: F,
-    ) -> (Vec<Option<T>>, RunReport)
-    where
-        T: Send + 'static,
-        F: Fn(Node) -> Fut + Sync,
-        Fut: Future<Output = T> + 'static,
-    {
-        let lanes = LaneMap::new(&self.cfg.topology, lanes).lanes();
-        let (results, report, _stats) = crate::shard::run(&self.cfg, lanes, plan, &program);
-        (results, report)
     }
 }
 
@@ -2111,6 +1937,34 @@ mod tests {
         });
         assert_eq!(report.elapsed, base.mul_f64(3.0));
         assert_eq!(report.faults.slowdowns, 1);
+    }
+
+    #[test]
+    fn event_at_the_end_of_time_is_still_dispatched() {
+        // A never-repaired outage schedules its LinkUp at SimTime::MAX.
+        // With node 1 parked on a message node 0 never sends, that event
+        // is the only one pending: it must be dispatched (the clock
+        // reaches the end of time) before the survivor is orphaned.
+        let m = Machine::new(presets::delta(1, 2));
+        let mut r = Vec::new();
+        m.config().topology.route(0, 1, &mut r);
+        let mut plan = FaultPlan::none();
+        plan.push(
+            SimTime::ZERO,
+            FaultKind::LinkDown {
+                link: r[0],
+                until: SimTime::MAX,
+            },
+        );
+        let (out, report) = m.run_with_faults(&plan, |node| async move {
+            if node.rank() == 1 {
+                node.recv(Some(0), None).await;
+            }
+        });
+        assert_eq!(out, vec![Some(()), None]);
+        assert_eq!(report.events, 1);
+        assert_eq!(report.elapsed, SimTime::MAX - SimTime::ZERO);
+        assert_eq!(report.faults.orphaned_tasks, 1);
     }
 
     #[test]

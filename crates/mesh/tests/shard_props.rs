@@ -1,20 +1,17 @@
-//! Property tests for the sharded conservative-parallel engine.
+//! Property tests for the lane runtime.
 //!
-//! Three invariants, in decreasing strictness:
+//! Three invariants (the single-lane schedule itself is pinned bit for
+//! bit by `tests/engine_golden.rs` at the workspace root):
 //!
-//! 1. **Single-lane bit-identity.** One lane of the window runtime is
-//!    the legacy dispatch loop with an infinite horizon: identical
-//!    event order, identical outputs, identical report — compared
-//!    field-for-field including elapsed virtual time and event counts,
-//!    under seeded fault plans and `recv_timeout`-based recovery.
-//! 2. **Legacy engine untouched.** Seeded runs with a `MemRecorder`
-//!    attached replay bit-identically run-to-run (the refactored
-//!    executor preserves poll order), and running the sharded engine
+//! 1. **Recorded replay.** Seeded single-lane runs with a `MemRecorder`
+//!    attached replay bit-identically run-to-run, and a multi-lane run
 //!    in between perturbs nothing (no global state).
-//! 3. **Lane-count invariance.** For timing-insensitive programs,
+//! 2. **Lane-count invariance.** For timing-insensitive programs,
 //!    final results and fault accounting do not depend on how many
 //!    lanes the mesh is split into — only per-event timestamps may
 //!    move, because cross-lane messages are timed analytically.
+//! 3. **Multi-lane replay.** Two identical multi-lane runs agree on
+//!    everything, in either lane mode.
 
 use delta_mesh::{presets, FaultKind, FaultPlan, Machine, Node};
 use des::time::{Dur, SimTime};
@@ -89,20 +86,21 @@ fn boot_crash_plan(seed: u64, nodes: usize) -> FaultPlan {
 /// A plan that also exercises timers, timeouts, and mid-run crashes —
 /// only used where both sides run the *same* engine schedule
 /// (single-lane comparisons), where full bit-identity must hold anyway.
+/// Fault times fall inside the ~81 µs the ring exchange takes.
 fn rich_plan(seed: u64, nodes: usize, links: usize) -> FaultPlan {
     let mut rng = des::rng::Rng::new(seed);
     let mut plan = FaultPlan::none();
     for _ in 0..(rng.next_u64() % 3) {
         let node = (rng.next_u64() as usize) % nodes;
         plan.push(
-            SimTime(rng.next_u64() % 2_000_000),
+            SimTime(rng.next_u64() % 5 * 20_000),
             FaultKind::NodeCrash { node },
         );
     }
     if links > 0 {
         for _ in 0..(rng.next_u64() % 2) {
             let link = (rng.next_u64() as usize) % links;
-            let at = rng.next_u64() % 1_000_000;
+            let at = rng.next_u64() % 4 * 20_000;
             plan.push(
                 SimTime(at),
                 FaultKind::LinkDown {
@@ -142,25 +140,6 @@ async fn recovering_step(node: Node, cols: usize) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Window runtime at one lane == legacy engine, bit for bit: same
-    /// outputs, same elapsed, same event count, same fault accounting.
-    #[test]
-    fn single_lane_window_is_bit_identical(
-        rows in 1usize..4,
-        cols in 2usize..5,
-        seed in 0u64..10_000,
-    ) {
-        let m = Machine::new(presets::delta(rows, cols));
-        let links = m.config().topology.links();
-        let plan = rich_plan(seed, rows * cols, links);
-        let (legacy_out, legacy_rep) =
-            m.run_with_faults(&plan, |node| recovering_step(node, cols));
-        let (win_out, win_rep) =
-            m.run_windowed_exact(1, &plan, |node| recovering_step(node, cols));
-        prop_assert_eq!(legacy_out, win_out);
-        prop_assert_eq!(legacy_rep, win_rep);
-    }
-
     /// Final results and fault accounting are lane-count-invariant for
     /// timing-insensitive programs.
     #[test]
@@ -171,8 +150,7 @@ proptest! {
     ) {
         let m = Machine::new(presets::delta(rows, cols));
         let plan = boot_crash_plan(seed, rows * cols);
-        let (base_out, base_rep) =
-            m.run_windowed_exact(1, &plan, |node| halo_step(node, rows, cols));
+        let (base_out, base_rep) = m.run_with_faults(&plan, |node| halo_step(node, rows, cols));
         for lanes in [2usize, 4] {
             let (out, rep) =
                 m.run_sharded_with_faults(lanes, &plan, |node| halo_step(node, rows, cols));
@@ -205,9 +183,8 @@ proptest! {
         prop_assert_eq!(rep1, rep2);
     }
 
-    /// The legacy recorded engine is untouched: seeded traced runs
-    /// replay bit-identically, with a sharded run in between to prove
-    /// the new engine leaves no residue.
+    /// Seeded traced single-lane runs replay bit-identically, with a
+    /// multi-lane run in between to prove lanes leave no residue.
     #[test]
     fn recorded_legacy_runs_survive_sharded_interleaving(
         rows in 1usize..4,
@@ -233,9 +210,9 @@ proptest! {
     }
 }
 
-/// Zero-fault sharded runs complete and agree with the legacy engine on
-/// results for a deterministic program (plain #[test]: the all-lanes
-/// sweep on the 16x33 Delta is too big for a proptest case budget).
+/// Zero-fault sharded runs complete and agree with one lane on results
+/// for a deterministic program (plain #[test]: the all-lanes sweep is
+/// too big for a proptest case budget).
 #[test]
 fn mesh48_all_lane_counts_agree() {
     let rows = 8;
